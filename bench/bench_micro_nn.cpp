@@ -1,6 +1,7 @@
 // Microbenchmarks of the nn/gpt substrate (google-benchmark): GEMM kernels,
-// fused attention forward+backward, full training steps, and decode
-// throughput of the KV-cache inference path.
+// the decode-shape projections (row-major vs column-panel), fused
+// attention forward+backward, full training steps, and decode throughput
+// of the KV-cache inference path.
 //
 // `--track-dir=DIR` (consumed before google-benchmark sees argv) appends
 // one perf-trajectory record to DIR/BENCH_micro_nn.json with every
@@ -20,6 +21,7 @@
 #include "nn/backend.h"
 #include "nn/graph.h"
 #include "nn/kernels.h"
+#include "nn/packed.h"
 #include "nn/quant.h"
 #include "obs/bench_track.h"
 #include "tokenizer/tokenizer.h"
@@ -133,6 +135,78 @@ void BM_InferenceDecodeInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_InferenceDecodeInt8)->Arg(1)->Arg(16)->Arg(128);
 
+/// Decode-shape projection cells: y[M, n] = x[M, k]·W + bias for each
+/// Linear of the small (d32, 2 layers) and paper (d256, 12 layers) models
+/// at the row counts decoding runs, row-major `affine` against the
+/// column-panel `packed_affine` the fp32 decode path uses. An iteration
+/// runs the projection once per layer over distinct weight copies, as a
+/// decode step does, so paper-config weights stream from beyond L2 the way
+/// they do when serving. Named BM_Decode<Affine|Packed>_<backend>_
+/// <model>_<projection>/<M>; items/sec counts FLOPs.
+void register_decode_cells(nn::BackendKind kind, const std::string& suffix) {
+  struct Model {
+    const char* name;
+    gpt::Config cfg;
+  };
+  for (const Model& model : {Model{"small", gpt::Config::small()},
+                             Model{"paper", gpt::Config::paper()}}) {
+    const nn::Index d = model.cfg.d_model, layers = model.cfg.n_layers;
+    const struct {
+      const char* name;
+      nn::Index k, n;
+    } shapes[] = {{"qkv", d, 3 * d},
+                  {"proj", d, d},
+                  {"fc1", d, model.cfg.d_ff()},
+                  {"fc2", model.cfg.d_ff(), d},
+                  {"lm_head", d, model.cfg.vocab}};
+    for (const auto& shape : shapes)
+      for (const bool packed : {false, true}) {
+        const std::string name = std::string("BM_Decode") +
+                                 (packed ? "Packed_" : "Affine_") + suffix +
+                                 "_" + model.name + "_" + shape.name;
+        const nn::Index k = shape.k, n = shape.n;
+        benchmark::RegisterBenchmark(
+            name.c_str(),
+            [kind, k, n, layers, packed](benchmark::State& state) {
+              nn::ScopedBackend forced(kind);
+              const auto m = static_cast<nn::Index>(state.range(0));
+              const std::vector<float> x(m * k, 0.5f), bias(n, 0.1f);
+              std::vector<float> y(m * n);
+              std::vector<std::vector<float>> w;
+              std::vector<std::vector<float>> pw;
+              for (nn::Index l = 0; l < layers; ++l) {
+                std::vector<float> wl(k * n, 0.01f * float(l + 1));
+                if (packed) {
+                  pw.emplace_back(nn::packed_size(k, n));
+                  nn::pack_weights(wl.data(), k, n, pw.back().data());
+                } else {
+                  w.push_back(std::move(wl));
+                }
+              }
+              for (auto _ : state) {
+                for (nn::Index l = 0; l < layers; ++l) {
+                  if (packed)
+                    nn::kernels::packed_affine(m, n, k, x.data(),
+                                               pw[l].data(), bias.data(),
+                                               y.data());
+                  else
+                    nn::kernels::affine(m, n, k, x.data(), w[l].data(),
+                                        bias.data(), y.data());
+                }
+                benchmark::DoNotOptimize(y.data());
+                benchmark::ClobberMemory();
+              }
+              state.SetItemsProcessed(state.iterations() * layers * 2 * m *
+                                      n * k);
+            })
+            ->Arg(1)
+            ->Arg(4)
+            ->Arg(12)
+            ->Arg(16);
+      }
+  }
+}
+
 /// Per-backend variants, registered at startup for whatever tables this
 /// machine can run (scalar always; avx2/avx512 when the CPU has them).
 /// Names carry the backend (BM_GemmNN_avx2/128) so the perf trajectory
@@ -140,6 +214,7 @@ BENCHMARK(BM_InferenceDecodeInt8)->Arg(1)->Arg(16)->Arg(128);
 void register_backend_benchmarks() {
   for (const nn::BackendKind kind : nn::available_backends()) {
     const std::string suffix = nn::backend_name(kind);
+    register_decode_cells(kind, suffix);
     benchmark::RegisterBenchmark(
         ("BM_GemmNN_" + suffix).c_str(),
         [kind](benchmark::State& state) {

@@ -41,28 +41,33 @@ inline float gelu1(float v) {
 
 InferenceSession::InferenceSession(const GptModel& model, Precision precision)
     : model_(&model), precision_(precision) {
-  if (precision_ == Precision::kInt8) qweights_ = &model.quantized();
+  bind_weights();
 }
 
-void InferenceSession::project(Index n, Index k, const float* x,
-                               const nn::Linear& lin,
-                               const nn::quant::QuantizedMatrix* qm,
-                               float* y) {
-  if (qm == nullptr) {
-    nn::kernels::affine(batch_, n, k, x, lin.weight().data().data(),
-                        lin.bias().data().data(), y);
-    return;
-  }
-  nn::kernels::quantize_rows(batch_, k, qm->k_pad, x, qx_.data(), qs_.data());
-  nn::kernels::qaffine(batch_, n, qm->k_pad, qx_.data(), qs_.data(),
-                       qm->data.data(), qm->scales.data(),
-                       lin.bias().data().data(), y);
+void InferenceSession::bind_weights() {
+  if (precision_ == Precision::kInt8)
+    qweights_ = model_->quantized();
+  else
+    pweights_ = model_->packed();
+}
+
+void InferenceSession::project(const nn::PackedMatrix& w, const float* x,
+                               const float* bias, float* y) {
+  nn::kernels::packed_affine(batch_, w.n, w.k, x, w.data, bias, y);
+}
+
+void InferenceSession::project(const nn::quant::QuantizedMatrix& w,
+                               const float* x, const float* bias, float* y) {
+  nn::kernels::quantize_rows(batch_, w.k, w.k_pad, x, qx_.data(), qs_.data());
+  nn::kernels::qaffine(batch_, w.n, w.k_pad, qx_.data(), qs_.data(),
+                       w.data.data(), w.scales.data(), bias, y);
 }
 
 void InferenceSession::reset(Index batch) {
   if (batch <= 0)
     throw std::invalid_argument("InferenceSession::reset: batch must be > 0");
   const Config& c = model_->config();
+  bind_weights();
   batch_ = batch;
   pos_ = 0;
   logits_ready_ = false;
@@ -115,8 +120,7 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
     throw std::invalid_argument("InferenceSession::step: token count != batch");
   if (pos_ >= c.context)
     throw std::runtime_error("InferenceSession::step: context exhausted");
-  const Index d = c.d_model, heads = c.n_heads, dh = d / heads;
-  const float scale = 1.f / std::sqrt(static_cast<float>(dh));
+  const Index d = c.d_model;
 
   // Embedding: x = wte[token] + wpe[pos].
   const float* wte = model_->wte().table().data().data();
@@ -132,18 +136,29 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
 
   if (scores_.size() < static_cast<std::size_t>(pos_ + 1))
     scores_.resize(static_cast<std::size_t>(c.context));
+  if (qweights_ != nullptr)
+    forward(*qweights_);
+  else
+    forward(*pweights_);
+  ++pos_;
+  logits_ready_ = true;
+  return {logits_.data(), static_cast<std::size_t>(batch_ * c.vocab)};
+}
+
+template <class M>
+void InferenceSession::forward(const DerivedWeights<M>& w) {
+  const Config& c = model_->config();
+  const Index d = c.d_model, heads = c.n_heads, dh = d / heads;
+  const float scale = 1.f / std::sqrt(static_cast<float>(dh));
   float* const scores = scores_.data();
   for (Index l = 0; l < c.n_layers; ++l) {
     const Block& blk = model_->blocks()[static_cast<std::size_t>(l)];
-    const QuantizedBlock* qb =
-        qweights_ != nullptr ? &qweights_->blocks[static_cast<std::size_t>(l)]
-                             : nullptr;
+    const BlockWeights<M>& wb = w.blocks[static_cast<std::size_t>(l)];
     // Attention: h = ln1(x); qkv = h·Wqkv+b; cache k,v; attend; x += proj.
     nn::kernels::layernorm_rows(batch_, d, x_.data(),
                                 blk.ln1.gain().data().data(),
                                 blk.ln1.bias().data().data(), h_.data());
-    project(3 * d, d, h_.data(), blk.qkv, qb != nullptr ? &qb->qkv : nullptr,
-            qkv_.data());
+    project(wb.qkv, h_.data(), blk.qkv.bias().data().data(), qkv_.data());
     float* kc = kcache_[static_cast<std::size_t>(l)].data();
     float* vc = vcache_[static_cast<std::size_t>(l)].data();
     for (Index i = 0; i < batch_; ++i) {
@@ -185,32 +200,25 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
       }
     }
     // x += proj(att)
-    project(d, d, att_.data(), blk.proj, qb != nullptr ? &qb->proj : nullptr,
-            h_.data());
+    project(wb.proj, att_.data(), blk.proj.bias().data().data(), h_.data());
     for (Index i = 0; i < batch_ * d; ++i) x_[i] += h_[i];
     // MLP: x += fc2(gelu(fc1(ln2(x))))
     nn::kernels::layernorm_rows(batch_, d, x_.data(),
                                 blk.ln2.gain().data().data(),
                                 blk.ln2.bias().data().data(), h_.data());
-    project(c.d_ff(), d, h_.data(), blk.fc1,
-            qb != nullptr ? &qb->fc1 : nullptr, ff_.data());
+    project(wb.fc1, h_.data(), blk.fc1.bias().data().data(), ff_.data());
     // Only the live batch's rows — ff_ may be capacity-sized (reset reuse).
     const Index ffn = batch_ * c.d_ff();
     for (Index idx = 0; idx < ffn; ++idx) ff_[idx] = gelu1(ff_[idx]);
-    project(d, c.d_ff(), ff_.data(), blk.fc2,
-            qb != nullptr ? &qb->fc2 : nullptr, h_.data());
+    project(wb.fc2, ff_.data(), blk.fc2.bias().data().data(), h_.data());
     for (Index i = 0; i < batch_ * d; ++i) x_[i] += h_[i];
   }
 
   nn::kernels::layernorm_rows(batch_, d, x_.data(),
                               model_->ln_f().gain().data().data(),
                               model_->ln_f().bias().data().data(), h_.data());
-  project(c.vocab, d, h_.data(), model_->lm_head(),
-          qweights_ != nullptr ? &qweights_->lm_head : nullptr,
+  project(w.lm_head, h_.data(), model_->lm_head().bias().data().data(),
           logits_.data());
-  ++pos_;
-  logits_ready_ = true;
-  return {logits_.data(), static_cast<std::size_t>(batch_ * c.vocab)};
 }
 
 KvState InferenceSession::snapshot(Index row) const {

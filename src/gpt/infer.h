@@ -19,10 +19,11 @@
 namespace ppg::gpt {
 
 /// Numeric substrate for a session's GEMMs. kFp32 is the reference (and
-/// training) path; kInt8 runs the projections through per-row absmax
-/// quantization + int8 GEMM (nn/quant.h) — ~bounded logits error, higher
-/// throughput, identical bits on every SIMD backend. Attention, layernorm
-/// and embeddings stay fp32 in both modes.
+/// training) path: the projections read the model's column-panel weight
+/// copy (nn/packed.h), bitwise equal to the row-major product. kInt8 runs
+/// them through per-row absmax quantization + int8 GEMM (nn/quant.h) —
+/// ~bounded logits error, higher throughput, identical bits on every SIMD
+/// backend. Attention, layernorm and embeddings stay fp32 in both modes.
 enum class Precision : int { kFp32 = 0, kInt8 = 1 };
 
 constexpr const char* precision_name(Precision p) noexcept {
@@ -33,18 +34,19 @@ constexpr const char* precision_name(Precision p) noexcept {
 /// The model must outlive the session.
 class InferenceSession {
  public:
-  /// Binds to a model. Buffers are sized lazily at reset(). kInt8 builds
-  /// (or reuses) the model's cached quantized weight view immediately, so
-  /// the one-time quantization cost lands here rather than on the first
-  /// step; the view must not be invalidated by GptModel::load() while
-  /// this session is alive.
+  /// Binds to a model. Buffers are sized lazily at reset(). The model's
+  /// derived weight view for `precision` (GptModel::packed() or
+  /// quantized()) is built or reused immediately, so its one-time cost
+  /// lands here rather than on the first step.
   explicit InferenceSession(const GptModel& model,
                             Precision precision = Precision::kFp32);
 
   /// Starts `batch` fresh sequences at position 0. Buffers are reused when
   /// `batch` fits the largest batch this session has seen, so schedulers
   /// whose tail batches shrink (D&C-GEN, the serve layer) pay no
-  /// reallocation; only a growing batch allocates.
+  /// reallocation; only a growing batch allocates. Re-binds the model's
+  /// weight view too, so a session kept across a weight change
+  /// (GptModel::load, train_lm) decodes the new weights from here on.
   void reset(Index batch);
 
   /// Feeds one token per sequence (tokens.size() == batch()) and returns
@@ -93,15 +95,26 @@ class InferenceSession {
   Precision precision() const noexcept { return precision_; }
 
  private:
-  /// y[batch,n] = x[batch,k]·W + bias for one Linear: fp32 affine when
-  /// `qm` is null, otherwise quantize-activations + int8 GEMM + dequant.
-  void project(Index n, Index k, const float* x, const nn::Linear& lin,
-               const nn::quant::QuantizedMatrix* qm, float* y);
+  /// Points the session at the model's current view for precision_.
+  void bind_weights();
+
+  /// The layers, final layernorm and lm_head of one step over views `w`.
+  template <class M>
+  void forward(const DerivedWeights<M>& w);
+
+  /// y[batch,n] = x[batch,k]·W + bias for one Linear, by the layout of W:
+  /// the column-panel fp32 kernel, or quantize-activations + int8 GEMM +
+  /// dequant.
+  void project(const nn::PackedMatrix& w, const float* x, const float* bias,
+               float* y);
+  void project(const nn::quant::QuantizedMatrix& w, const float* x,
+               const float* bias, float* y);
 
   const GptModel* model_;
   Precision precision_ = Precision::kFp32;
-  /// Int8 weight views (owned by the model), non-null iff kInt8.
-  const QuantizedWeights* qweights_ = nullptr;
+  /// The model's weight view for precision_ (the other stays null).
+  std::shared_ptr<const PackedWeights> pweights_;
+  std::shared_ptr<const QuantizedWeights> qweights_;
   Index batch_ = 0;
   Index capacity_ = 0;  ///< largest batch the buffers are sized for
   Index pos_ = 0;

@@ -212,35 +212,67 @@ void GptModel::load(const std::string& path) {
     if (msg.rfind("GptModel::load:", 0) == 0) throw;
     throw fail(msg);
   }
-  // The weights changed: drop any cached int8 view so the next quantized()
-  // call rebuilds it from the loaded parameters.
-  MutexLock lock(quant_.mu);
-  quant_.weights.reset();
+  invalidate_views();
 }
 
-std::size_t QuantizedWeights::bytes() const {
-  std::size_t total = lm_head.bytes();
-  for (const QuantizedBlock& b : blocks)
-    total += b.qkv.bytes() + b.proj.bytes() + b.fc1.bytes() + b.fc2.bytes();
-  return total;
+namespace {
+
+/// Fills `views` with convert(lin) for every projection, in decode-step
+/// order: layer by layer qkv, proj, fc1, fc2, then lm_head.
+template <class Views, class Convert>
+void derive(Views& views, const std::vector<Block>& blocks,
+            const nn::Linear& lm_head, Convert convert) {
+  views.blocks.reserve(blocks.size());
+  for (const Block& b : blocks)
+    views.blocks.push_back(
+        {convert(b.qkv), convert(b.proj), convert(b.fc1), convert(b.fc2)});
+  views.lm_head = convert(lm_head);
 }
 
-const QuantizedWeights& GptModel::quantized() const {
-  MutexLock lock(quant_.mu);
-  if (quant_.weights == nullptr) {
-    auto quantize = [](const nn::Linear& lin) {
-      const nn::Tensor& w = lin.weight();  // [k, n] row-major
-      return nn::quant::quantize_weights(w.data().data(), w.dim(0), w.dim(1));
+}  // namespace
+
+std::shared_ptr<const PackedWeights> GptModel::packed() const {
+  MutexLock lock(views_.mu);
+  if (views_.packed == nullptr) {
+    const auto size = [](const nn::Linear& lin) {
+      return nn::packed_size(lin.weight().dim(0), lin.weight().dim(1));
     };
-    auto q = std::make_unique<QuantizedWeights>();
-    q->blocks.reserve(blocks_.size());
+    Index total = size(lm_head_);
     for (const Block& b : blocks_)
-      q->blocks.push_back({quantize(b.qkv), quantize(b.proj),
-                           quantize(b.fc1), quantize(b.fc2)});
-    q->lm_head = quantize(lm_head_);
-    quant_.weights = std::move(q);
+      total += size(b.qkv) + size(b.proj) + size(b.fc1) + size(b.fc2);
+    auto views = std::make_unique<PackedWeights>();
+    views->storage.resize(static_cast<std::size_t>(total));
+    float* next = views->storage.data();
+    derive(*views, blocks_, lm_head_, [&next](const nn::Linear& lin) {
+      const nn::Tensor& w = lin.weight();  // [k, n] row-major
+      const nn::PackedMatrix m{w.dim(1), w.dim(0), next};
+      nn::pack_weights(w.data().data(), m.k, m.n, next);
+      next += nn::packed_size(m.k, m.n);
+      return m;
+    });
+    views_.packed = std::move(views);
   }
-  return *quant_.weights;
+  return views_.packed;
+}
+
+std::shared_ptr<const QuantizedWeights> GptModel::quantized() const {
+  MutexLock lock(views_.mu);
+  if (views_.quantized == nullptr) {
+    auto views = std::make_unique<QuantizedWeights>();
+    derive(*views, blocks_, lm_head_, [](const nn::Linear& lin) {
+      const nn::Tensor& w = lin.weight();  // [k, n] row-major
+      return nn::quant::quantize_weights(w.data().data(), w.dim(0),
+                                         w.dim(1));
+    });
+    views_.quantized = std::move(views);
+  }
+  return views_.quantized;
+}
+
+void GptModel::invalidate_views() {
+  MutexLock lock(views_.mu);
+  views_.packed.reset();
+  views_.quantized.reset();
 }
 
 }  // namespace ppg::gpt

@@ -19,6 +19,7 @@
 #include "common/thread_annotations.h"
 #include "nn/graph.h"
 #include "nn/layers.h"
+#include "nn/packed.h"
 #include "nn/quant.h"
 #include "nn/tensor.h"
 
@@ -62,19 +63,31 @@ struct Block {
   nn::Linear fc2;   ///< d_ff -> d_model
 };
 
-/// Int8 views of one block's Linear weights (DESIGN.md §15). LayerNorms
-/// and embeddings stay fp32 — they are O(d) next to the O(d²) matmuls.
-struct QuantizedBlock {
-  nn::quant::QuantizedMatrix qkv, proj, fc1, fc2;
+/// One block's Linear weights in a derived layout `M` (DESIGN.md §15).
+/// LayerNorms and embeddings are not derived — they are O(d) next to the
+/// O(d²) matmuls.
+template <class M>
+struct BlockWeights {
+  M qkv, proj, fc1, fc2;
 };
 
-/// Per-channel int8 quantization of every GEMM weight in the model, built
-/// lazily from the fp32 parameters by GptModel::quantized().
-struct QuantizedWeights {
-  std::vector<QuantizedBlock> blocks;
-  nn::quant::QuantizedMatrix lm_head;
-  std::size_t bytes() const;
+/// Every GEMM weight of the model in a derived layout `M`, built lazily
+/// from the fp32 parameters (GptModel::packed(), GptModel::quantized()).
+template <class M>
+struct DerivedWeights {
+  std::vector<BlockWeights<M>> blocks;
+  M lm_head;
 };
+
+/// fp32 column-panel copies (nn/packed.h): the weights every fp32 decode
+/// step streams. They share one block, laid out in the order a step reads
+/// them — layer by layer qkv, proj, fc1, fc2, then lm_head — so a step
+/// sweeps it front to back.
+struct PackedWeights : DerivedWeights<nn::PackedMatrix> {
+  std::vector<float> storage;
+};
+/// Per-channel int8 quantization (nn/quant.h).
+using QuantizedWeights = DerivedWeights<nn::quant::QuantizedMatrix>;
 
 /// The transformer. Owns parameters; forward passes build onto a caller-
 /// provided autograd Graph (training) — the no-tape fast path lives in
@@ -121,13 +134,19 @@ class GptModel {
   const nn::LayerNorm& ln_f() const noexcept { return ln_f_; }
   const nn::Linear& lm_head() const noexcept { return lm_head_; }
 
-  /// Int8 view of the GEMM weights, built on first use and cached
-  /// (threads racing here serialize on a mutex; the build is one-time).
-  /// load() drops the cache so a freshly loaded checkpoint re-quantizes.
-  /// The returned reference is stable until the next load() — callers
-  /// must not hold it across a checkpoint reload, the same lifetime rule
-  /// the fp32 accessors already impose.
-  const QuantizedWeights& quantized() const;
+  /// Derived views of the GEMM weights: the fp32 column-panel copy every
+  /// fp32 decode step reads, and the int8 copy of the quantized path.
+  /// Each is built on first use and cached until invalidate_views()
+  /// (threads racing here serialize on one mutex; a build is one-time).
+  /// A caller holding a returned view keeps it alive: it stays a snapshot
+  /// of the weights it was built from, never a dangling reference.
+  std::shared_ptr<const PackedWeights> packed() const;
+  std::shared_ptr<const QuantizedWeights> quantized() const;
+
+  /// Drops the cached views so the next packed()/quantized() rebuilds
+  /// them from the current weights. load() and train_lm call it; call it
+  /// after changing weights in place any other way.
+  void invalidate_views();
 
  private:
   Config cfg_;
@@ -136,13 +155,14 @@ class GptModel {
   std::vector<Block> blocks_;
   nn::LayerNorm ln_f_;
   nn::Linear lm_head_;
-  /// Lazily built int8 weight view (see quantized()); its own mutex keeps
-  /// the one-time build race-free without touching fp32 accessor paths.
-  struct QuantCache {
+  /// Lazily built derived views (see packed()); their own mutex keeps the
+  /// one-time builds race-free without touching the fp32 accessor paths.
+  struct ViewCache {
     Mutex mu;
-    std::unique_ptr<QuantizedWeights> weights PPG_GUARDED_BY(mu);
+    std::shared_ptr<const PackedWeights> packed PPG_GUARDED_BY(mu);
+    std::shared_ptr<const QuantizedWeights> quantized PPG_GUARDED_BY(mu);
   };
-  mutable QuantCache quant_;
+  mutable ViewCache views_;
 };
 
 }  // namespace ppg::gpt

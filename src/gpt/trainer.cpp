@@ -188,6 +188,7 @@ TrainReport train_lm(GptModel& model,
             model.params().load(r);
             opt.load(r);
           });
+      model.invalidate_views();
       restored_perm = true;
       report.resumed_from_step = step;
       log_info("train_lm: resumed from checkpoint at step %zu (epoch %d)",
@@ -277,6 +278,9 @@ TrainReport train_lm(GptModel& model,
       PPG_DCHECK(std::isfinite(grad_norm),
                  "gradient norm diverged at step %zu", step);
       opt.step();
+      // The weights moved: derived views built by an earlier EpochHook
+      // decode (or before training) would now be stale.
+      model.invalidate_views();
       dcheck_finite_params(model.params(), step);
       epoch_loss += double(loss.at(0));
       ++epoch_batches;

@@ -20,6 +20,7 @@ constexpr KernelBackend kScalarTable = {
     BackendKind::kScalar,   "scalar",
     kd::scalar::gemm_nn,    kd::scalar::gemm_nt,
     kd::scalar::gemm_tn,    kd::scalar::affine,
+    kd::scalar::packed_affine,
     kd::scalar::layernorm_rows, kd::scalar::softmax_rows,
     kd::scalar::quantize_rows,  kd::scalar::qaffine,
 };
@@ -29,6 +30,7 @@ constexpr KernelBackend kAvx2Table = {
     BackendKind::kAvx2,   "avx2",
     kd::avx2::gemm_nn,    kd::avx2::gemm_nt,
     kd::avx2::gemm_tn,    kd::avx2::affine,
+    kd::avx2::packed_affine,
     kd::avx2::layernorm_rows, kd::avx2::softmax_rows,
     kd::scalar::quantize_rows, kd::avx2::qaffine,
 };
@@ -40,6 +42,7 @@ constexpr KernelBackend kAvx512Table = {
     BackendKind::kAvx512, "avx512",
     kd::avx512::gemm_nn,  kd::avx2::gemm_nt,
     kd::avx512::gemm_tn,  kd::avx512::affine,
+    kd::avx512::packed_affine,
     kd::avx2::layernorm_rows, kd::avx2::softmax_rows,
     kd::scalar::quantize_rows, kd::avx512::qaffine,
 };

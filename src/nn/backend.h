@@ -46,6 +46,10 @@ struct KernelBackend {
   // y[m,n] = x[m,k]·W[k,n] + bias[n] (no accumulate).
   void (*affine)(Index m, Index n, Index k, const float* x, const float* w,
                  const float* bias, float* y);
+  // The same product with W in the column-panel layout of nn/packed.h;
+  // bitwise equal to affine on the row-major W.
+  void (*packed_affine)(Index m, Index n, Index k, const float* x,
+                        const float* wp, const float* bias, float* y);
   // Fused row ops.
   void (*layernorm_rows)(Index rows, Index d, const float* x,
                          const float* gain, const float* bias, float* y);

@@ -70,10 +70,13 @@ Tensor Graph::add(const Tensor& a, const Tensor& b) {
   const std::size_t n = out.numel();
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = a.data()[i] + b.data()[i];
   record([a, b, out, n]() mutable {
+    const float* go = out.grad().data();
+    float* ga = a.grad().data();
+    float* gb = b.grad().data();
     for (std::size_t i = 0; i < n; ++i) {
-      const float g = out.grad()[i];
-      a.grad()[i] += g;
-      b.grad()[i] += g;
+      const float g = go[i];
+      ga[i] += g;
+      gb[i] += g;
     }
   });
   return out;
@@ -85,10 +88,13 @@ Tensor Graph::sub(const Tensor& a, const Tensor& b) {
   const std::size_t n = out.numel();
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = a.data()[i] - b.data()[i];
   record([a, b, out, n]() mutable {
+    const float* go = out.grad().data();
+    float* ga = a.grad().data();
+    float* gb = b.grad().data();
     for (std::size_t i = 0; i < n; ++i) {
-      const float g = out.grad()[i];
-      a.grad()[i] += g;
-      b.grad()[i] -= g;
+      const float g = go[i];
+      ga[i] += g;
+      gb[i] -= g;
     }
   });
   return out;
@@ -100,10 +106,13 @@ Tensor Graph::mul(const Tensor& a, const Tensor& b) {
   const std::size_t n = out.numel();
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = a.data()[i] * b.data()[i];
   record([a, b, out, n]() mutable {
+    const float* go = out.grad().data();
+    float* ga = a.grad().data();
+    float* gb = b.grad().data();
     for (std::size_t i = 0; i < n; ++i) {
-      const float g = out.grad()[i];
-      a.grad()[i] += g * b.data()[i];
-      b.grad()[i] += g * a.data()[i];
+      const float g = go[i];
+      ga[i] += g * b.data()[i];
+      gb[i] += g * a.data()[i];
     }
   });
   return out;
@@ -117,11 +126,14 @@ Tensor Graph::mul_row(const Tensor& x, const Tensor& v) {
   for (Index i = 0; i < m; ++i)
     for (Index j = 0; j < n; ++j) out.at(i, j) = x.at(i, j) * v.at(j);
   record([x, v, out, m, n]() mutable {
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
+    float* gv = v.grad().data();
     for (Index i = 0; i < m; ++i) {
       for (Index j = 0; j < n; ++j) {
-        const float g = out.grad()[i * n + j];
-        x.grad()[i * n + j] += g * v.at(j);
-        v.grad()[j] += g * x.at(i, j);
+        const float g = go[i * n + j];
+        gx[i * n + j] += g * v.at(j);
+        gv[j] += g * x.at(i, j);
       }
     }
   });
@@ -133,7 +145,9 @@ Tensor Graph::scale(const Tensor& x, float c) {
   const std::size_t n = out.numel();
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = x.data()[i] * c;
   record([x, out, n, c]() mutable {
-    for (std::size_t i = 0; i < n; ++i) x.grad()[i] += out.grad()[i] * c;
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
+    for (std::size_t i = 0; i < n; ++i) gx[i] += go[i] * c;
   });
   return out;
 }
@@ -143,7 +157,9 @@ Tensor Graph::add_scalar(const Tensor& x, float c) {
   const std::size_t n = out.numel();
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = x.data()[i] + c;
   record([x, out, n]() mutable {
-    for (std::size_t i = 0; i < n; ++i) x.grad()[i] += out.grad()[i];
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
+    for (std::size_t i = 0; i < n; ++i) gx[i] += go[i];
   });
   return out;
 }
@@ -156,11 +172,13 @@ Tensor Graph::gelu(const Tensor& x) {
     out.data()[i] = 0.5f * v * (1.f + std::erf(v * kInvSqrt2));
   }
   record([x, out, n]() mutable {
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
     for (std::size_t i = 0; i < n; ++i) {
       const float v = x.data()[i];
       const float cdf = 0.5f * (1.f + std::erf(v * kInvSqrt2));
       const float pdf = kInvSqrt2Pi * std::exp(-0.5f * v * v);
-      x.grad()[i] += out.grad()[i] * (cdf + v * pdf);
+      gx[i] += go[i] * (cdf + v * pdf);
     }
   });
   return out;
@@ -172,8 +190,10 @@ Tensor Graph::relu(const Tensor& x) {
   for (std::size_t i = 0; i < n; ++i)
     out.data()[i] = x.data()[i] > 0.f ? x.data()[i] : 0.f;
   record([x, out, n]() mutable {
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
     for (std::size_t i = 0; i < n; ++i)
-      if (x.data()[i] > 0.f) x.grad()[i] += out.grad()[i];
+      if (x.data()[i] > 0.f) gx[i] += go[i];
   });
   return out;
 }
@@ -183,9 +203,11 @@ Tensor Graph::tanh_op(const Tensor& x) {
   const std::size_t n = out.numel();
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = std::tanh(x.data()[i]);
   record([x, out, n]() mutable {
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
     for (std::size_t i = 0; i < n; ++i) {
       const float t = out.data()[i];
-      x.grad()[i] += out.grad()[i] * (1.f - t * t);
+      gx[i] += go[i] * (1.f - t * t);
     }
   });
   return out;
@@ -197,9 +219,11 @@ Tensor Graph::sigmoid(const Tensor& x) {
   for (std::size_t i = 0; i < n; ++i)
     out.data()[i] = 1.f / (1.f + std::exp(-x.data()[i]));
   record([x, out, n]() mutable {
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
     for (std::size_t i = 0; i < n; ++i) {
       const float s = out.data()[i];
-      x.grad()[i] += out.grad()[i] * s * (1.f - s);
+      gx[i] += go[i] * s * (1.f - s);
     }
   });
   return out;
@@ -210,8 +234,9 @@ Tensor Graph::exp_op(const Tensor& x) {
   const std::size_t n = out.numel();
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = std::exp(x.data()[i]);
   record([x, out, n]() mutable {
-    for (std::size_t i = 0; i < n; ++i)
-      x.grad()[i] += out.grad()[i] * out.data()[i];
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
+    for (std::size_t i = 0; i < n; ++i) gx[i] += go[i] * out.data()[i];
   });
   return out;
 }
@@ -221,8 +246,9 @@ Tensor Graph::log_op(const Tensor& x) {
   const std::size_t n = out.numel();
   for (std::size_t i = 0; i < n; ++i) out.data()[i] = std::log(x.data()[i]);
   record([x, out, n]() mutable {
-    for (std::size_t i = 0; i < n; ++i)
-      x.grad()[i] += out.grad()[i] / x.data()[i];
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
+    for (std::size_t i = 0; i < n; ++i) gx[i] += go[i] / x.data()[i];
   });
   return out;
 }
@@ -233,8 +259,9 @@ Tensor Graph::square(const Tensor& x) {
   for (std::size_t i = 0; i < n; ++i)
     out.data()[i] = x.data()[i] * x.data()[i];
   record([x, out, n]() mutable {
-    for (std::size_t i = 0; i < n; ++i)
-      x.grad()[i] += out.grad()[i] * 2.f * x.data()[i];
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
+    for (std::size_t i = 0; i < n; ++i) gx[i] += go[i] * 2.f * x.data()[i];
   });
   return out;
 }
@@ -252,8 +279,9 @@ Tensor Graph::dropout(const Tensor& x, float p, Rng& rng) {
     out.data()[i] = x.data()[i] * m;
   }
   record([x, out, mask, n]() mutable {
-    for (std::size_t i = 0; i < n; ++i)
-      x.grad()[i] += out.grad()[i] * (*mask)[i];
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
+    for (std::size_t i = 0; i < n; ++i) gx[i] += go[i] * (*mask)[i];
   });
   return out;
 }
@@ -336,12 +364,13 @@ Tensor Graph::softmax_rows(const Tensor& x) {
   // backward below only needs out, which softmax_rows fully determines.
   kernels::softmax_rows(m, n, x.data().data(), out.data().data());
   record([x, out, m, n]() mutable {
+    const float* go = out.grad().data();
+    float* gx = x.grad().data();
     for (Index i = 0; i < m; ++i) {
       float dot = 0.f;
-      for (Index j = 0; j < n; ++j) dot += out.grad()[i * n + j] * out.at(i, j);
+      for (Index j = 0; j < n; ++j) dot += go[i * n + j] * out.at(i, j);
       for (Index j = 0; j < n; ++j)
-        x.grad()[i * n + j] +=
-            out.at(i, j) * (out.grad()[i * n + j] - dot);
+        gx[i * n + j] += out.at(i, j) * (go[i * n + j] - dot);
     }
   });
   return out;
@@ -378,6 +407,8 @@ Tensor Graph::layernorm(const Tensor& x, const Tensor& gain,
     }
   }
   record([x, gain, bias, out, rstd, xhat, m, d, invd]() mutable {
+    float* ggain = gain.grad().data();
+    float* gbias = bias.grad().data();
     for (Index i = 0; i < m; ++i) {
       const float* go = out.grad().data() + i * d;
       const float* xh = xhat->data() + i * d;
@@ -389,8 +420,8 @@ Tensor Graph::layernorm(const Tensor& x, const Tensor& gain,
         const float dxh = go[j] * gain.at(j);
         sum_dxhat += dxh;
         sum_dxhat_xhat += dxh * xh[j];
-        gain.grad()[j] += go[j] * xh[j];
-        bias.grad()[j] += go[j];
+        ggain[j] += go[j] * xh[j];
+        gbias[j] += go[j];
       }
       for (Index j = 0; j < d; ++j) {
         const float dxh = go[j] * gain.at(j);

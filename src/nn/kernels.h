@@ -70,6 +70,17 @@ inline void affine(Index m, Index n, Index k, const float* x, const float* w,
   active_backend().affine(m, n, k, x, w, bias, y);
 }
 
+/// y[m,n] = x[m,k] · W[k,n] + bias[n] with W in the column-panel layout
+/// of nn/packed.h (`wp` = PackedMatrix::data). Same per-element order as
+/// affine(), so the result is bitwise equal to affine() on the row-major W.
+inline void packed_affine(Index m, Index n, Index k, const float* x,
+                          const float* wp, const float* bias, float* y) {
+  dcheck_gemm_args(m, n, k, x, wp, y);
+  PPG_DCHECK(bias != nullptr || n == 0,
+             "packed_affine: null bias with n > 0");
+  active_backend().packed_affine(m, n, k, x, wp, bias, y);
+}
+
 /// y[r,d] = layernorm(x[r,d]) * gain[d] + bias[d], eps 1e-5 (forward only;
 /// the autograd layernorm in graph.cpp keeps its own fused form because it
 /// must also save xhat/rstd for backward).

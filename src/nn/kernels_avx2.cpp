@@ -18,10 +18,12 @@
 //    the dequant fmaf matches the scalar expression.
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include "nn/kernels_impl.h"
+#include "nn/packed.h"
 
 namespace ppg::nn::kernels_detail::avx2 {
 
@@ -231,11 +233,89 @@ void gemm_bias(Index m, Index n, Index k, const float* a, const float* b,
   }
 }
 
+static_assert(kPanelWidth == 16, "two ymm per panel row");
+
+/// maskload/maskstore lanes [0, cols) of one ymm; cols may be <= 0 or >= 8.
+inline __m256i lane_mask(Index cols) {
+  const int c = static_cast<int>(std::min<Index>(std::max<Index>(cols, 0), 8));
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(c),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// One R-row × one-panel tile of packed_affine (R <= 6): two ymm
+/// accumulators per row (the panel's 16 columns), live across the whole k
+/// loop, started from the bias and fmadd-ed down the panel in ascending p.
+/// 12 accumulators + 2 panel halves + 1 broadcast fill 15 of 16 ymm. The
+/// rows are spelled out (PPG_PACKED_ROW) rather than looped over: with
+/// the accumulators in an array, GCC -O2 kept them on the stack.
+template <int R>
+void packed_tile(Index k, const float* x, Index ldx, const float* w,
+                 const float* bias, Index cols, float* y, Index ldy) {
+  const bool full = cols >= 16;
+  const __m256i m0 = lane_mask(cols), m1 = lane_mask(cols - 8);
+  const __m256 b0 = full ? _mm256_loadu_ps(bias) : _mm256_maskload_ps(bias, m0);
+  const __m256 b1 =
+      full ? _mm256_loadu_ps(bias + 8) : _mm256_maskload_ps(bias + 8, m1);
+  [[maybe_unused]] __m256 s00 = b0, s01 = b1, s10 = b0, s11 = b1, s20 = b0,
+                          s21 = b1, s30 = b0, s31 = b1, s40 = b0, s41 = b1,
+                          s50 = b0, s51 = b1;
+  for (Index p = 0; p < k; ++p) {
+    const __m256 v0 = _mm256_loadu_ps(w + p * 16);
+    const __m256 v1 = _mm256_loadu_ps(w + p * 16 + 8);
+#define PPG_PACKED_ROW(r)                             \
+  if constexpr (R > r) {                              \
+    const __m256 a = _mm256_set1_ps(x[r * ldx + p]);  \
+    s##r##0 = _mm256_fmadd_ps(a, v0, s##r##0);        \
+    s##r##1 = _mm256_fmadd_ps(a, v1, s##r##1);        \
+  }
+    PPG_PACKED_ROW(0) PPG_PACKED_ROW(1) PPG_PACKED_ROW(2)
+    PPG_PACKED_ROW(3) PPG_PACKED_ROW(4) PPG_PACKED_ROW(5)
+#undef PPG_PACKED_ROW
+  }
+#define PPG_PACKED_STORE(r)                           \
+  if constexpr (R > r) {                              \
+    if (full) {                                       \
+      _mm256_storeu_ps(y + r * ldy, s##r##0);         \
+      _mm256_storeu_ps(y + r * ldy + 8, s##r##1);     \
+    } else {                                          \
+      _mm256_maskstore_ps(y + r * ldy, m0, s##r##0);  \
+      _mm256_maskstore_ps(y + r * ldy + 8, m1, s##r##1); \
+    }                                                 \
+  }
+  PPG_PACKED_STORE(0) PPG_PACKED_STORE(1) PPG_PACKED_STORE(2)
+  PPG_PACKED_STORE(3) PPG_PACKED_STORE(4) PPG_PACKED_STORE(5)
+#undef PPG_PACKED_STORE
+}
+
 }  // namespace
 
 void gemm_nn(Index m, Index n, Index k, const float* a, const float* b,
              float* c) {
   gemm_bias(m, n, k, a, b, nullptr, c);
+}
+
+void packed_affine(Index m, Index n, Index k, const float* x, const float* wp,
+                   const float* bias, float* y) {
+  // One panel at a time, outermost: its k·64 bytes stream in once and
+  // stay cache-resident while every row tile reads them. Rows go in 6-row
+  // tiles, then one tile of the remaining 1..5 rows.
+  for (Index j = 0; j < n; j += 16) {
+    const float* w = wp + j * k;
+    const Index cols = n - j;
+    Index i = 0;
+    for (; i + 6 <= m; i += 6)
+      packed_tile<6>(k, x + i * k, k, w, bias + j, cols, y + i * n + j, n);
+    const float* xr = x + i * k;
+    float* yr = y + i * n + j;
+    switch (m - i) {
+      case 1: packed_tile<1>(k, xr, k, w, bias + j, cols, yr, n); break;
+      case 2: packed_tile<2>(k, xr, k, w, bias + j, cols, yr, n); break;
+      case 3: packed_tile<3>(k, xr, k, w, bias + j, cols, yr, n); break;
+      case 4: packed_tile<4>(k, xr, k, w, bias + j, cols, yr, n); break;
+      case 5: packed_tile<5>(k, xr, k, w, bias + j, cols, yr, n); break;
+      default: break;
+    }
+  }
 }
 
 void affine(Index m, Index n, Index k, const float* x, const float* w,

@@ -1,7 +1,8 @@
 // AVX-512 kernel backend. Provides only the "j-lane" kernels — gemm_nn,
-// gemm_tn, affine and the int8 qaffine — where widening the vector is
-// free of reordering hazards: each output element's fmadd chain keeps the
-// scalar order whatever the lane count, and int32 dot products are exact.
+// gemm_tn, affine, packed_affine and the int8 qaffine — where widening
+// the vector is free of reordering hazards: each output element's fmadd
+// chain keeps the scalar order whatever the lane count, and int32 dot
+// products are exact.
 // The reduction kernels (gemm_nt, layernorm_rows, softmax_rows) would
 // need 16 accumulation lanes, which breaks the canonical 8-lane contract
 // of kernels_impl.h, so the AVX-512 dispatch table borrows the AVX2
@@ -16,6 +17,7 @@
 #include <cstdint>
 
 #include "nn/kernels_impl.h"
+#include "nn/packed.h"
 
 namespace ppg::nn::kernels_detail::avx512 {
 
@@ -127,11 +129,93 @@ void gemm_bias(Index m, Index n, Index k, const float* a, const float* b,
   }
 }
 
+static_assert(kPanelWidth == 16, "one zmm per panel row");
+
+/// Lanes [0, cols) of one panel; cols may be <= 0 or >= 16.
+inline __mmask16 panel_mask(Index cols) {
+  if (cols >= 16) return 0xFFFF;
+  return cols <= 0 ? 0 : static_cast<__mmask16>((1u << cols) - 1u);
+}
+
+/// One R-row × P-panel tile of packed_affine (R <= 8, P <= 2): one zmm
+/// accumulator per (row, panel), live across the whole k loop, started
+/// from the bias and fmadd-ed down the panels in ascending p. The rows are
+/// spelled out (PPG_PACKED_ROW) rather than looped over: with the
+/// accumulators in an array, GCC -O2 kept them on the stack.
+template <int R, int P>
+void packed_tile(Index k, const float* x, Index ldx, const float* w,
+                 const float* bias, Index cols, float* y, Index ldy) {
+  const __mmask16 m0 = panel_mask(cols), m1 = panel_mask(cols - 16);
+  const __m512 b0 = _mm512_maskz_loadu_ps(m0, bias);
+  [[maybe_unused]] __m512 b1 = b0;
+  if constexpr (P > 1) b1 = _mm512_maskz_loadu_ps(m1, bias + 16);
+  [[maybe_unused]] __m512 s00 = b0, s01 = b1, s10 = b0, s11 = b1, s20 = b0,
+                          s21 = b1, s30 = b0, s31 = b1, s40 = b0, s41 = b1,
+                          s50 = b0, s51 = b1, s60 = b0, s61 = b1, s70 = b0,
+                          s71 = b1;
+  const float* w1 = w + k * 16;
+  for (Index p = 0; p < k; ++p) {
+    const __m512 v0 = _mm512_loadu_ps(w + p * 16);
+    [[maybe_unused]] __m512 v1 = v0;
+    if constexpr (P > 1) v1 = _mm512_loadu_ps(w1 + p * 16);
+#define PPG_PACKED_ROW(r)                                             \
+  if constexpr (R > r) {                                              \
+    const __m512 a = _mm512_set1_ps(x[r * ldx + p]);                  \
+    s##r##0 = _mm512_fmadd_ps(a, v0, s##r##0);                        \
+    if constexpr (P > 1) s##r##1 = _mm512_fmadd_ps(a, v1, s##r##1);   \
+  }
+    PPG_PACKED_ROW(0) PPG_PACKED_ROW(1) PPG_PACKED_ROW(2) PPG_PACKED_ROW(3)
+    PPG_PACKED_ROW(4) PPG_PACKED_ROW(5) PPG_PACKED_ROW(6) PPG_PACKED_ROW(7)
+#undef PPG_PACKED_ROW
+  }
+#define PPG_PACKED_STORE(r)                                            \
+  if constexpr (R > r) {                                               \
+    _mm512_mask_storeu_ps(y + r * ldy, m0, s##r##0);                   \
+    if constexpr (P > 1) _mm512_mask_storeu_ps(y + r * ldy + 16, m1, s##r##1); \
+  }
+  PPG_PACKED_STORE(0) PPG_PACKED_STORE(1) PPG_PACKED_STORE(2)
+  PPG_PACKED_STORE(3) PPG_PACKED_STORE(4) PPG_PACKED_STORE(5)
+  PPG_PACKED_STORE(6) PPG_PACKED_STORE(7)
+#undef PPG_PACKED_STORE
+}
+
+/// All m rows against P panels: 8-row tiles, then one tile of the
+/// remaining 1..7 rows (a full tile of its own height, not a fallback).
+template <int P>
+void packed_rows(Index m, Index n, Index k, const float* x, const float* w,
+                 const float* bias, Index cols, float* y) {
+  Index i = 0;
+  for (; i + 8 <= m; i += 8)
+    packed_tile<8, P>(k, x + i * k, k, w, bias, cols, y + i * n, n);
+  const float* xr = x + i * k;
+  float* yr = y + i * n;
+  switch (m - i) {
+    case 1: packed_tile<1, P>(k, xr, k, w, bias, cols, yr, n); break;
+    case 2: packed_tile<2, P>(k, xr, k, w, bias, cols, yr, n); break;
+    case 3: packed_tile<3, P>(k, xr, k, w, bias, cols, yr, n); break;
+    case 4: packed_tile<4, P>(k, xr, k, w, bias, cols, yr, n); break;
+    case 5: packed_tile<5, P>(k, xr, k, w, bias, cols, yr, n); break;
+    case 6: packed_tile<6, P>(k, xr, k, w, bias, cols, yr, n); break;
+    case 7: packed_tile<7, P>(k, xr, k, w, bias, cols, yr, n); break;
+    default: break;
+  }
+}
+
 }  // namespace
 
 void gemm_nn(Index m, Index n, Index k, const float* a, const float* b,
              float* c) {
   gemm_bias(m, n, k, a, b, nullptr, c);
+}
+
+void packed_affine(Index m, Index n, Index k, const float* x, const float* wp,
+                   const float* bias, float* y) {
+  // Panel pairs outermost: each pair's 2·k·64 bytes stream in once and
+  // stay cache-resident while every row tile reads them.
+  Index j = 0;
+  for (; j + 16 < n; j += 32)
+    packed_rows<2>(m, n, k, x, wp + j * k, bias + j, n - j, y + j);
+  if (j < n) packed_rows<1>(m, n, k, x, wp + j * k, bias + j, n - j, y + j);
 }
 
 void affine(Index m, Index n, Index k, const float* x, const float* w,

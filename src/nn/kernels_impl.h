@@ -7,11 +7,12 @@
 //    (std::fmaf in the scalar backend — glibc's fmaf is correctly rounded
 //    even without hardware FMA — and vfmadd in the vector backends), so
 //    one madd produces identical bits on every backend.
-//  * Elementwise ("j-lane") kernels — gemm_nn, affine, gemm_tn and the
-//    layernorm/softmax normalization loops — fix a per-OUTPUT-element
-//    order: the initial value (0, C, or bias) followed by madds in
-//    ascending p. Vectorizing across outputs never reorders any single
-//    output's chain, so these match at any vector width by construction.
+//  * Elementwise ("j-lane") kernels — gemm_nn, affine, packed_affine,
+//    gemm_tn and the layernorm/softmax normalization loops — fix a
+//    per-OUTPUT-element order: the initial value (0, C, or bias) followed
+//    by madds in ascending p. Vectorizing across outputs never reorders
+//    any single output's chain, so these match at any vector width — and
+//    whatever the weight layout — by construction.
 //    gemm_nn/affine hot loops are BRANCH-FREE: no data-dependent zero
 //    skips (a per-p scalar compare costs ~2× GEMM throughput; fmaf with
 //    a zero multiplier is value-preserving for finite data anyway). Only
@@ -95,6 +96,8 @@ void gemm_tn(Index m, Index n, Index k, const float* a, const float* b,
              float* c);
 void affine(Index m, Index n, Index k, const float* x, const float* w,
             const float* bias, float* y);
+void packed_affine(Index m, Index n, Index k, const float* x, const float* wp,
+                   const float* bias, float* y);
 void layernorm_rows(Index rows, Index d, const float* x, const float* gain,
                     const float* bias, float* y);
 void softmax_rows(Index rows, Index n, const float* x, float* y);
@@ -114,6 +117,8 @@ void gemm_tn(Index m, Index n, Index k, const float* a, const float* b,
              float* c);
 void affine(Index m, Index n, Index k, const float* x, const float* w,
             const float* bias, float* y);
+void packed_affine(Index m, Index n, Index k, const float* x, const float* wp,
+                   const float* bias, float* y);
 void layernorm_rows(Index rows, Index d, const float* x, const float* gain,
                     const float* bias, float* y);
 void softmax_rows(Index rows, Index n, const float* x, float* y);
@@ -129,6 +134,8 @@ void gemm_tn(Index m, Index n, Index k, const float* a, const float* b,
              float* c);
 void affine(Index m, Index n, Index k, const float* x, const float* w,
             const float* bias, float* y);
+void packed_affine(Index m, Index n, Index k, const float* x, const float* wp,
+                   const float* bias, float* y);
 void qaffine(Index m, Index n, Index k_pad, const std::int8_t* qx,
              const float* sx, const std::int8_t* qw, const float* sw,
              const float* bias, float* y);

@@ -10,10 +10,12 @@
 // -fno-unsafe-math-optimizations (see src/nn/CMakeLists.txt); edits must
 // preserve the per-element accumulation order documented in
 // kernels_impl.h or the cross-backend bitwise tests will fail.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include "nn/kernels_impl.h"
+#include "nn/packed.h"
 
 namespace ppg::nn::kernels_detail::scalar {
 
@@ -75,6 +77,28 @@ void gemm_nn(Index m, Index n, Index k, const float* a, const float* b,
 void affine(Index m, Index n, Index k, const float* x, const float* w,
             const float* bias, float* y) {
   gemm_bias(m, n, k, x, w, bias, y);
+}
+
+void packed_affine(Index m, Index n, Index k, const float* __restrict x,
+                   const float* __restrict wp, const float* __restrict bias,
+                   float* __restrict y) {
+  // One 16-lane accumulator per (row, panel): the bias, then fmaf down the
+  // panel in ascending p — affine's order for every stored element.
+  constexpr Index kW = kPanelWidth;
+  for (Index j0 = 0; j0 < n; j0 += kW) {
+    const Index width = std::min(kW, n - j0);
+    const float* panel = wp + j0 * k;
+    for (Index i = 0; i < m; ++i) {
+      float acc[kW] = {};
+      for (Index u = 0; u < width; ++u) acc[u] = bias[j0 + u];
+      const float* xr = x + i * k;
+      for (Index p = 0; p < k; ++p) {
+        const float* wr = panel + p * kW;
+        for (Index u = 0; u < kW; ++u) acc[u] = std::fmaf(xr[p], wr[u], acc[u]);
+      }
+      for (Index u = 0; u < width; ++u) y[i * n + j0 + u] = acc[u];
+    }
+  }
 }
 
 void gemm_nt(Index m, Index n, Index k, const float* __restrict a,

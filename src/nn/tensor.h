@@ -4,7 +4,10 @@
 // float storage plus a gradient buffer of the same size. Shapes are dense
 // row-major. The autograd engine (graph.h) creates tensors for op outputs
 // and accumulates into `grad` during the backward pass; optimizers
-// (optimizer.h) consume and zero parameter gradients.
+// (optimizer.h) consume and zero parameter gradients. The gradient buffer
+// is allocated (zero-filled) on the first grad() or zero_grad() call, so
+// weights that are only ever read — every inference model — hold no
+// gradient memory at all.
 //
 // This project only ever needs rank-1/2 tensors at the op interface —
 // batched sequence data is handled as [batch*time, features] and the fused
@@ -39,7 +42,7 @@ class Tensor {
   explicit Tensor(std::vector<Index> shape)
       : shape_(std::move(shape)),
         data_(std::make_shared<std::vector<float>>(checked_numel(shape_), 0.f)),
-        grad_(std::make_shared<std::vector<float>>(data_->size(), 0.f)) {}
+        grad_(std::make_shared<std::vector<float>>()) {}
 
   /// Convenience: Tensor({m, n}).
   Tensor(std::initializer_list<Index> shape)
@@ -83,9 +86,16 @@ class Tensor {
     return {data_->data(), data_->size()};
   }
 
-  /// View of the gradient buffer (shared, writable).
-  std::span<float> grad() const noexcept {
+  /// View of the gradient buffer (shared, writable); the first call on
+  /// this storage allocates it, zero-filled.
+  std::span<float> grad() const {
+    if (grad_->size() != data_->size()) grad_->assign(data_->size(), 0.f);
     return {grad_->data(), grad_->size()};
+  }
+
+  /// Whether the gradient buffer has been allocated yet.
+  bool grad_allocated() const noexcept {
+    return grad_ != nullptr && !grad_->empty();
   }
 
   // The at() accessors carry rank and bounds DCHECKs: free in release
@@ -112,9 +122,9 @@ class Tensor {
     return (*data_)[static_cast<std::size_t>(i)];
   }
 
-  /// Zeroes the gradient buffer.
-  void zero_grad() const noexcept {
-    for (auto& g : *grad_) g = 0.f;
+  /// Zeroes the gradient buffer (allocating it on first use).
+  void zero_grad() const {
+    grad_->assign(data_->size(), 0.f);
   }
 
   /// Fills values with a constant.

@@ -80,6 +80,13 @@ struct RetentionCase {
   double lo, hi;
 };
 
+// gtest_discover_tests names each case after the printed parameter; the
+// default byte dump would embed the function pointer, which ASLR changes on
+// every discovery run. Print the profile name so test names are stable.
+void PrintTo(const RetentionCase& c, std::ostream* os) {
+  *os << c.profile().name;
+}
+
 class RetentionTest : public ::testing::TestWithParam<RetentionCase> {};
 
 TEST_P(RetentionTest, MatchesTableTwoBand) {

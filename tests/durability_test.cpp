@@ -21,6 +21,7 @@
 #include "common/failpoint.h"
 #include "common/serialize.h"
 #include "core/dcgen.h"
+#include "gpt/infer.h"
 #include "gpt/model.h"
 #include "gpt/trainer.h"
 #include "pcfg/pcfg_model.h"
@@ -394,6 +395,36 @@ TEST_F(TrainerResumeTest, InterruptedRunResumesBitwiseIdentical) {
   const std::string resumed = train_to_bytes(cdir, &report);
   EXPECT_GT(report.resumed_from_step, 0u);
   EXPECT_EQ(resumed, golden) << "resumed weights differ from golden";
+}
+
+// Resuming loads weights mid-call: derived views built before it (here by
+// decoding the untrained model) must not survive into the resumed model.
+// A checkpoint at every step makes the resume land after the last step, so
+// the load is the only weight change the views can follow.
+TEST_F(TrainerResumeTest, ResumeDropsDerivedWeightViews) {
+  TrainConfig cfg = train_config((dir_ / "train_ckpt_views").string());
+  cfg.checkpoint_every = 1;
+  GptModel trained(Config::tiny(), 11);
+  gpt::train_lm(trained, encoded_corpus(), {}, cfg, tok::Tokenizer::kPad);
+
+  const auto decode = [](const GptModel& m, gpt::Precision precision) {
+    const std::vector<int> prefix = {tok::Tokenizer::kBos, 40, 41};
+    gpt::InferenceSession s(m, precision);
+    s.reset(1);
+    const auto logits = s.prime(prefix);
+    return std::vector<float>(logits.begin(), logits.end());
+  };
+  GptModel resumed(Config::tiny(), 12);
+  const auto untrained = decode(resumed, gpt::Precision::kFp32);
+  decode(resumed, gpt::Precision::kInt8);
+  const auto report = gpt::train_lm(resumed, encoded_corpus(), {}, cfg,
+                                    tok::Tokenizer::kPad);
+  ASSERT_EQ(report.resumed_from_step, report.steps) << "a step ran";
+  EXPECT_NE(decode(resumed, gpt::Precision::kFp32), untrained);
+  EXPECT_EQ(decode(resumed, gpt::Precision::kFp32),
+            decode(trained, gpt::Precision::kFp32));
+  EXPECT_EQ(decode(resumed, gpt::Precision::kInt8),
+            decode(trained, gpt::Precision::kInt8));
 }
 
 TEST_F(TrainerResumeTest, CrashInsideCheckpointWriteAlsoResumes) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gpt/infer.h"
 #include "gpt/trainer.h"
 #include "tokenizer/tokenizer.h"
 
@@ -131,6 +132,66 @@ TEST(Trainer, EpochHookFires) {
   train_lm(m, seqs, {}, cfg, Tokenizer::kPad,
            [&](int, double, double) { ++calls; });
   EXPECT_EQ(calls, 3);
+}
+
+/// Logits after a fixed prefix, decoded by `s` as a one-row batch.
+std::vector<float> decode(InferenceSession& s) {
+  const std::vector<int> prefix = {Tokenizer::kBos, 40, 41, 42};
+  s.reset(1);
+  const auto logits = s.prime(prefix);
+  return {logits.begin(), logits.end()};
+}
+
+std::vector<float> decode(const GptModel& m, Precision precision) {
+  InferenceSession s(m, precision);
+  return decode(s);
+}
+
+// Derived weight views follow the weights. A hook that decodes mid-training
+// builds the packed and int8 views from that epoch's weights; the steps
+// after it must not leave them stale, so the final decodes equal those of
+// a fresh model loaded from the trained weights, in fp32 and int8 alike.
+TEST(Trainer, DerivedViewsFollowTrainedWeights) {
+  GptModel m(Config::tiny(), 12);
+  const auto seqs = encode_corpus({"abc12", "abd34", "xyz99", "pass1"});
+  TrainConfig cfg;
+  cfg.epochs = 3;
+  cfg.batch_size = 2;
+  cfg.lr = 1e-2f;
+  InferenceSession kept(m, Precision::kInt8);  // re-binds at every reset
+  std::vector<std::vector<float>> mid;
+  train_lm(m, seqs, {}, cfg, Tokenizer::kPad, [&](int, double, double) {
+    mid.push_back(decode(m, Precision::kFp32));
+    mid.push_back(decode(m, Precision::kInt8));
+  });
+  ASSERT_EQ(mid.size(), 6u);
+  EXPECT_NE(mid[0], mid[4]) << "training did not move the weights";
+
+  const auto path =
+      std::filesystem::temp_directory_path() / "ppg_views_follow.ckpt";
+  m.save(path.string());
+  GptModel fresh(Config::tiny(), 13);
+  fresh.load(path.string());
+  std::remove(path.string().c_str());
+  EXPECT_EQ(decode(m, Precision::kFp32), decode(fresh, Precision::kFp32));
+  EXPECT_EQ(decode(m, Precision::kInt8), decode(fresh, Precision::kInt8));
+  EXPECT_EQ(decode(kept), decode(fresh, Precision::kInt8));
+}
+
+// Inference only reads weights, so a model that has decoded on both paths
+// holds no gradient buffers; one training step allocates every one.
+TEST(GptModel, InferenceAllocatesNoGradientBuffers) {
+  GptModel m(Config::tiny(), 14);
+  decode(m, Precision::kFp32);
+  decode(m, Precision::kInt8);
+  for (const auto& p : m.params().items())
+    EXPECT_FALSE(p.tensor.grad_allocated()) << p.name;
+  TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 2;
+  train_lm(m, encode_corpus({"abc12", "abd34"}), {}, cfg, Tokenizer::kPad);
+  for (const auto& p : m.params().items())
+    EXPECT_TRUE(p.tensor.grad_allocated()) << p.name;
 }
 
 TEST(GptModel, EvaluateNllMatchesLossOnSameData) {

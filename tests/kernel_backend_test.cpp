@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "common/rng.h"
 #include "nn/backend.h"
 #include "nn/kernels.h"
+#include "nn/packed.h"
 #include "nn/quant.h"
 
 namespace ppg::nn {
@@ -145,6 +147,54 @@ TEST_P(BackendDifferentialTest, AffineBitwiseMatchesScalarOracle) {
     EXPECT_EQ(max_ulp(ref, got), 0u)
         << "affine " << s.m << "x" << s.n << "x" << s.k << " on "
         << backend_name(GetParam());
+  }
+}
+
+// The column-panel path at decode shapes: every panel remainder (n mod
+// 16 ∈ {1, 15, 0, 1, 8, 0, 0}), tiny to fc1/fc2-sized k, and M = 1..17 so
+// each backend's full row tiles and every remainder tile height run. Each
+// output row depends only on its own x row, so one 17-row reference per
+// (n, k) serves every M: the backend's packed rows must equal the scalar
+// oracle's packed rows and both backends' row-major affine at 0 ULP.
+TEST_P(BackendDifferentialTest, PackedAffineBitwiseMatchesOracleAndAffine) {
+  Rng rng(0x9a4e1);
+  constexpr Index kMaxRows = 17;
+  for (const Index n : {1, 15, 16, 17, 136, 768, 1024}) {
+    for (const Index k : {1, 31, 256, 1024}) {
+      const auto x = random_vec(static_cast<std::size_t>(kMaxRows * k), rng);
+      const auto w = random_vec(static_cast<std::size_t>(k * n), rng);
+      const auto bias = random_vec(static_cast<std::size_t>(n), rng);
+      std::vector<float> packed(static_cast<std::size_t>(packed_size(k, n)));
+      pack_weights(w.data(), k, n, packed.data());
+      const std::size_t out = static_cast<std::size_t>(kMaxRows * n);
+      std::vector<float> ref(out), oracle(out), affine(out);
+      {
+        ScopedBackend scalar(BackendKind::kScalar);
+        kernels::affine(kMaxRows, n, k, x.data(), w.data(), bias.data(),
+                        ref.data());
+        kernels::packed_affine(kMaxRows, n, k, x.data(), packed.data(),
+                               bias.data(), oracle.data());
+      }
+      ScopedBackend backend(GetParam());
+      kernels::affine(kMaxRows, n, k, x.data(), w.data(), bias.data(),
+                      affine.data());
+      ASSERT_EQ(max_ulp(ref, oracle), 0u)
+          << "scalar packed_affine vs affine, n=" << n << " k=" << k;
+      ASSERT_EQ(max_ulp(ref, affine), 0u)
+          << "affine on " << backend_name(GetParam()) << ", n=" << n
+          << " k=" << k;
+      for (Index m = 1; m <= kMaxRows; ++m) {
+        // NaN-filled so an unwritten element can never pass.
+        std::vector<float> got(static_cast<std::size_t>(m * n),
+                               std::numeric_limits<float>::quiet_NaN());
+        kernels::packed_affine(m, n, k, x.data(), packed.data(),
+                               bias.data(), got.data());
+        const std::vector<float> want(ref.begin(), ref.begin() + m * n);
+        ASSERT_EQ(max_ulp(want, got), 0u)
+            << "packed_affine " << m << "x" << n << "x" << k << " on "
+            << backend_name(GetParam());
+      }
+    }
   }
 }
 
@@ -299,6 +349,29 @@ TEST(QuantErrorModel, QuantizeRoundTripWithinHalfStep) {
     EXPECT_EQ(q[static_cast<std::size_t>(p)], 0) << "padding not zeroed";
 }
 
+// --- column-panel layout ------------------------------------------------
+
+TEST(PackedLayout, PanelsHoldColumnsRowByRowWithZeroPadding) {
+  Rng rng(0x9a4e2);
+  const Index k = 5, n = 37;  // three panels, the last 5 columns wide
+  const auto w = random_vec(static_cast<std::size_t>(k * n), rng);
+  ASSERT_EQ(packed_size(k, n), 3 * k * 16);
+  std::vector<float> want(static_cast<std::size_t>(packed_size(k, n)), 0.f);
+  for (Index q = 0; q < 3; ++q)
+    for (Index p = 0; p < k; ++p)
+      for (Index u = 0; u < 16 && q * 16 + u < n; ++u)
+        want[static_cast<std::size_t>((q * k + p) * 16 + u)] =
+            w[static_cast<std::size_t>(p * n + q * 16 + u)];
+  // NaN-filled: pack_weights must write the padding too. max_ulp compares
+  // bits, which -ffast-math cannot fold the way it folds NaN == 0.f.
+  std::vector<float> packed(want.size(),
+                            std::numeric_limits<float>::quiet_NaN());
+  pack_weights(w.data(), k, n, packed.data());
+  EXPECT_EQ(max_ulp(want, packed), 0u);
+  EXPECT_THROW(pack_weights(w.data(), 0, n, packed.data()),
+               std::invalid_argument);
+}
+
 // --- dispatch mechanics -------------------------------------------------
 
 TEST(BackendDispatch, ParseBackendRoundTripsAndRejectsUnknown) {
@@ -331,9 +404,11 @@ TEST(BackendDispatch, SetBackendActivatesAndThrowsOnUnavailable) {
     EXPECT_EQ(active_backend().kind, kind);
     EXPECT_STREQ(active_backend().name, backend_name(kind));
   }
-  for (BackendKind kind : {BackendKind::kAvx2, BackendKind::kAvx512})
-    if (!backend_available(kind))
+  for (BackendKind kind : {BackendKind::kAvx2, BackendKind::kAvx512}) {
+    if (!backend_available(kind)) {
       EXPECT_THROW(set_backend(kind), std::invalid_argument);
+    }
+  }
   set_backend(before);
 }
 
@@ -360,6 +435,7 @@ TEST(BackendDispatch, TablesExposeNonNullEntryPoints) {
     EXPECT_NE(t.gemm_nt, nullptr);
     EXPECT_NE(t.gemm_tn, nullptr);
     EXPECT_NE(t.affine, nullptr);
+    EXPECT_NE(t.packed_affine, nullptr);
     EXPECT_NE(t.layernorm_rows, nullptr);
     EXPECT_NE(t.softmax_rows, nullptr);
     EXPECT_NE(t.quantize_rows, nullptr);

@@ -70,6 +70,33 @@ TEST(Tensor, ReshapeRejectsNumelMismatch) {
   EXPECT_THROW(a.reshaped({2, 4}), std::invalid_argument);
 }
 
+// The gradient buffer is allocated on first use, so a tensor that is only
+// ever read (every inference weight) holds no gradient memory.
+TEST(Tensor, GradBufferAllocatedOnFirstUse) {
+  Tensor a({3, 4});
+  const Tensor view = a.reshaped({12});
+  const Tensor copy = a;
+  a.fill(1.f);
+  a.at(0, 0) = 2.f;
+  const Tensor deep = a.clone();
+  EXPECT_FALSE(a.grad_allocated());
+  EXPECT_FALSE(view.grad_allocated());
+  EXPECT_FALSE(deep.grad_allocated());
+
+  view.grad()[11] = 5.f;  // allocates the buffer every handle shares
+  EXPECT_TRUE(a.grad_allocated());
+  EXPECT_TRUE(copy.grad_allocated());
+  EXPECT_FALSE(deep.grad_allocated());
+  ASSERT_EQ(a.grad().size(), 12u);
+  for (std::size_t i = 0; i < 11; ++i) EXPECT_EQ(a.grad()[i], 0.f);
+  EXPECT_EQ(a.grad()[11], 5.f);
+
+  Tensor z({2});
+  z.zero_grad();
+  EXPECT_TRUE(z.grad_allocated());
+  EXPECT_EQ(z.grad().size(), 2u);
+}
+
 TEST(Tensor, FillAndZeroGrad) {
   Tensor a({4});
   a.fill(2.5f);
