@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,19 +34,6 @@
 #include "obs/run_report.h"
 
 using namespace ppg;
-
-namespace {
-
-gpt::Config model_config(const std::string& name) {
-  if (name == "tiny") return gpt::Config::tiny();
-  if (name == "small") return gpt::Config::small();
-  if (name == "bench") return gpt::Config::bench();
-  if (name == "paper") return gpt::Config::paper();
-  std::fprintf(stderr, "bench_kv_cache: unknown --model '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   // Split argv into this bench's own flags and the standard set parse_env
@@ -81,7 +69,14 @@ int main(int argc, char** argv) {
   const auto site = bench::load_site(env, data::rockyou_profile());
   pcfg::PcfgModel pcfg_model;
   pcfg_model.train(site.split.train);
-  const gpt::Config cfg_model = model_config(model_name);
+  gpt::Config cfg_model;
+  try {
+    cfg_model = gpt::Config::by_name(model_name);
+  } catch (const std::invalid_argument&) {
+    std::fprintf(stderr, "bench_kv_cache: unknown --model '%s'\n",
+                 model_name.c_str());
+    return 2;
+  }
   const gpt::GptModel model(cfg_model, env.seed ^ hash64("kv-bench"));
 
   core::DcGenConfig cfg;

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,16 +40,6 @@
 using namespace ppg;
 
 namespace {
-
-gpt::Config model_config(const std::string& name) {
-  if (name == "tiny") return gpt::Config::tiny();
-  if (name == "small") return gpt::Config::small();
-  if (name == "bench") return gpt::Config::bench();
-  if (name == "paper") return gpt::Config::paper();
-  std::fprintf(stderr, "bench_ordered_vs_sampled: unknown --model '%s'\n",
-               name.c_str());
-  std::exit(2);
-}
 
 std::vector<std::size_t> parse_budgets(const std::string& csv) {
   std::vector<std::size_t> out;
@@ -83,7 +74,13 @@ int main(int argc, char** argv) {
   const Cli cli(static_cast<int>(mine.size()), mine.data(),
                 {"model", "budgets", "threshold", "threads", "max-expansions"});
   const std::string model_name = cli.get("model", "small");
-  env.model_cfg = model_config(model_name);
+  try {
+    env.model_cfg = gpt::Config::by_name(model_name);
+  } catch (const std::invalid_argument&) {
+    std::fprintf(stderr, "bench_ordered_vs_sampled: unknown --model '%s'\n",
+                 model_name.c_str());
+    return 2;
+  }
   const auto budgets = parse_budgets(cli.get("budgets", "250,500,1000,2000"));
   const double threshold = cli.get_double("threshold", 64.0);
   const int threads = static_cast<int>(cli.get_int("threads", 1));

@@ -51,14 +51,6 @@ namespace {
 
 using namespace ppg;
 
-gpt::Config config_by_name(const std::string& name) {
-  if (name == "tiny") return gpt::Config::tiny();
-  if (name == "small") return gpt::Config::small();
-  if (name == "bench") return gpt::Config::bench();
-  if (name == "paper") return gpt::Config::paper();
-  throw std::invalid_argument("unknown --config '" + name + "'");
-}
-
 std::vector<int> parse_csv_ints(const std::string& csv) {
   std::vector<int> out;
   std::stringstream ss(csv);
@@ -167,7 +159,7 @@ int main(int argc, char** argv) {
     Cli cli(argc, argv, {"config", "clients", "requests", "repeats",
                          "max-batch", "quantize", "seed", "report",
                          "track-dir"});
-    const auto config = config_by_name(cli.get("config", "paper"));
+    const auto config = gpt::Config::by_name(cli.get("config", "paper"));
     const auto clients = parse_csv_ints(cli.get("clients", "1,4,16"));
     const int requests = static_cast<int>(cli.get_int("requests", 32));
     const int repeats = static_cast<int>(cli.get_int("repeats", 3));

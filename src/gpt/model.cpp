@@ -20,6 +20,15 @@ void Config::validate() const {
     throw std::invalid_argument("gpt::Config: dropout outside [0,1)");
 }
 
+Config Config::by_name(const std::string& name) {
+  if (name == "tiny") return tiny();
+  if (name == "small") return small();
+  if (name == "bench") return bench();
+  if (name == "paper") return paper();
+  throw std::invalid_argument("unknown model config '" + name +
+                              "' (tiny|small|bench|paper)");
+}
+
 GptModel::GptModel(Config cfg, std::uint64_t seed) : cfg_(cfg) {
   cfg_.validate();
   Rng rng(seed, "gpt-init");

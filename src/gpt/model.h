@@ -46,6 +46,9 @@ struct Config {
   /// Smallest configuration that learns pattern conditioning well enough
   /// to demonstrate the paper's effects (test fixtures, quick examples).
   static Config small() { return {136, 32, 2, 4, 32, 0.0f}; }
+  /// The named configuration: "tiny", "small", "bench" or "paper". Throws
+  /// std::invalid_argument naming the four choices for any other name.
+  static Config by_name(const std::string& name);
 
   /// MLP hidden width (GPT-2 uses 4x).
   Index d_ff() const { return 4 * d_model; }

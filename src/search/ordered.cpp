@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/minmax_heap.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,11 +39,17 @@ SearchMetrics& search_metrics() {
 }  // namespace
 
 std::vector<double> masked_log_probs(std::span<const float> logits) {
-  std::vector<double> out(logits.size(), kNegInf);
+  std::vector<double> out;
+  masked_log_probs(logits, out);
+  return out;
+}
+
+void masked_log_probs(std::span<const float> logits, std::vector<double>& out) {
+  out.assign(logits.size(), kNegInf);
   float mx = kMaskedLogit;
   for (float l : logits)
     if (l > kMaskedLogit && l > mx) mx = l;
-  if (mx <= kMaskedLogit) return out;  // everything masked
+  if (mx <= kMaskedLogit) return;  // everything masked
   double z = 0.0;
   for (float l : logits)
     if (l > kMaskedLogit) z += std::exp(static_cast<double>(l - mx));
@@ -50,7 +57,6 @@ std::vector<double> masked_log_probs(std::span<const float> logits) {
   for (std::size_t i = 0; i < logits.size(); ++i)
     if (logits[i] > kMaskedLogit)
       out[i] = static_cast<double>(logits[i] - mx) - logz;
-  return out;
 }
 
 OrderedEnumerator::OrderedEnumerator(const gpt::GptModel& model,
@@ -71,20 +77,64 @@ OrderedEnumerator::OrderedEnumerator(const gpt::GptModel& model,
   if (opts_.max_nodes == 0) opts_.max_nodes = 1;
 }
 
+bool OrderedEnumerator::worse(const Node& a, const Node& b) const noexcept {
+  if (a.logp != b.logp) return a.logp < b.logp;
+  return sequence_less(b, a);
+}
+
+bool OrderedEnumerator::sequence_less(const Node& a,
+                                      const Node& b) const noexcept {
+  if (a.parent == b.parent) return a.token < b.token;
+  const std::vector<int>& as = parents_[a.parent].seq;
+  const std::vector<int>& bs = parents_[b.parent].seq;
+  const auto [ai, bi] = std::mismatch(as.begin(), as.end(), bs.begin(),
+                                      bs.end());
+  // The full sequences' tokens at the first position where the parent
+  // sequences differ or one of them ends.
+  const int at = ai == as.end() ? a.token : *ai;
+  const int bt = bi == bs.end() ? b.token : *bi;
+  if (at != bt) return at < bt;
+  // Equal there, so one full sequence is a prefix of the other.
+  return as.size() < bs.size();
+}
+
+std::uint32_t OrderedEnumerator::new_parent(std::span<const int> seq) {
+  std::uint32_t id;
+  if (free_parents_.empty()) {
+    id = static_cast<std::uint32_t>(parents_.size());
+    parents_.emplace_back();
+  } else {
+    id = free_parents_.back();
+    free_parents_.pop_back();
+  }
+  parents_[id].seq.assign(seq.begin(), seq.end());
+  return id;
+}
+
+void OrderedEnumerator::release_parent(std::uint32_t id) {
+  Parent& p = parents_[id];
+  if (--p.children > 0) return;
+  // No frontier node needs the snapshot any more: unpinned, it rejoins the
+  // trie's LRU and may be evicted from here on.
+  p.pin.release();
+  free_parents_.push_back(id);
+}
+
 void OrderedEnumerator::push_node(Node n) {
   // push_children() batch-enforces budgets after each expansion, so the
   // frontier overfills by at most one vocabulary of children between
   // enforcements; the inline trim is a hard backstop should a future push
   // site forget that contract (never fires today: kMaxOverfill > vocab).
   constexpr std::size_t kMaxOverfill = 256;
-  frontier_.push_back(std::move(n));
-  std::push_heap(frontier_.begin(), frontier_.end(), worse);
+  ++parents_[n.parent].children;
+  frontier_.push_back(n);
+  push_minmax_heap(frontier_.begin(), frontier_.end(), by_worse());
   if (frontier_.size() > opts_.max_nodes + kMaxOverfill) enforce_budgets();
 }
 
 OrderedEnumerator::Node OrderedEnumerator::pop_node() {
-  std::pop_heap(frontier_.begin(), frontier_.end(), worse);
-  Node n = std::move(frontier_.back());
+  pop_minmax_heap_max(frontier_.begin(), frontier_.end(), by_worse());
+  const Node n = frontier_.back();
   frontier_.pop_back();
   return n;
 }
@@ -112,24 +162,25 @@ void OrderedEnumerator::expand_root() {
   gpt::KvState root = session_.snapshot(0);
   std::span<const float> logits = session_.logits_row(0);
   cache_.insert(prefix_, std::move(root));
-  push_children(prefix_, 0.0, logits);
+  push_children(new_parent(prefix_), 0.0, logits);
 }
 
-void OrderedEnumerator::expand(Node node) {
+void OrderedEnumerator::expand(const Node& node) {
   obs::Span span("search/expand", "search");
-  const auto& seq = node.seq;
+  const std::vector<int>& seq = seq_;
   const Index parent_len = static_cast<Index>(seq.size()) - 1;
+  const gpt::KvTrieCache::Handle& pin = parents_[node.parent].pin;
   // The final step() of seq.back() is the scoring forward pass every
   // expansion pays regardless of caching; the prefill ledger counts only
   // the positions *before* it — restored by resume (saved) or re-fed
   // because a snapshot was evicted (tokens).
-  if (node.parent && node.parent.len() == parent_len) {
-    session_.resume(*node.parent.state(), 1, parent_len);
+  if (pin && pin.len() == parent_len) {
+    session_.resume(*pin.state(), 1, parent_len);
     stats_.prefill_saved += static_cast<std::size_t>(parent_len);
     int t = seq.back();
     session_.step(std::span<const int>(&t, 1));
   } else {
-    // The parent snapshot was evicted before this node could pin it (tiny
+    // The parent snapshot was evicted before its record could pin it (tiny
     // byte budgets). Re-derive from the deepest surviving ancestor —
     // bitwise identical to the resume path by the kv_cache contract.
     auto hit = cache_.find_longest(seq);
@@ -148,66 +199,68 @@ void OrderedEnumerator::expand(Node node) {
       session_.step(std::span<const int>(&t, 1));
     }
   }
-  node.parent.release();
+  release_parent(node.parent);
   ++stats_.nodes_expanded;
   search_metrics().nodes_expanded.inc();
   gpt::KvState state = session_.snapshot(0);
   std::span<const float> logits = session_.logits_row(0);
   cache_.insert(seq, std::move(state));
-  push_children(seq, node.logp, logits);
+  push_children(new_parent(seq), node.logp, logits);
 }
 
-void OrderedEnumerator::push_children(const std::vector<int>& seq, double logp,
+void OrderedEnumerator::push_children(std::uint32_t parent, double logp,
                                       std::span<const float> logits) {
+  const std::size_t seq_len = parents_[parent].seq.size();
   scratch_.assign(logits.begin(), logits.end());
   if (mask_) {
-    const Index step = static_cast<Index>(seq.size() - prefix_.size());
+    const Index step = static_cast<Index>(seq_len - prefix_.size());
     mask_(step, scratch_);
   }
-  const std::vector<double> lps = masked_log_probs(scratch_);
+  masked_log_probs(scratch_, log_probs_);
   const Index context = model_->config().context;
-  const Index child_len = static_cast<Index>(seq.size()) + 1;
-  for (std::size_t t = 0; t < lps.size(); ++t) {
-    if (lps[t] == kNegInf) continue;
-    const double child_logp = logp + lps[t];
+  const Index child_len = static_cast<Index>(seq_len) + 1;
+  // The loop holds its own reference, so a backstop trim in push_node
+  // cannot free the record under it.
+  ++parents_[parent].children;
+  bool pinned = false;
+  for (std::size_t t = 0; t < log_probs_.size(); ++t) {
+    if (log_probs_[t] == kNegInf) continue;
+    const double child_logp = logp + log_probs_[t];
     if (child_logp < opts_.min_log_prob) continue;
     const bool terminal = static_cast<int>(t) == tok::Tokenizer::kEos;
     // A non-terminal child at the context boundary can never be stepped
     // again nor emit <EOS>; a terminal child needs no further step.
     if (!terminal && child_len >= context) continue;
-    Node child;
-    child.logp = child_logp;
-    child.seq = seq;
-    child.seq.push_back(static_cast<int>(t));
-    // One pin per child; may miss when the insert above was immediately
-    // evicted (budget smaller than one state) — expand() falls back.
-    child.parent = cache_.find(seq);
-    push_node(std::move(child));
+    if (!pinned) {
+      // One pin per record, taken with the first surviving child; it
+      // misses when the insert above was immediately evicted (budget
+      // smaller than one state) — expand() falls back.
+      parents_[parent].pin = cache_.find(parents_[parent].seq);
+      pinned = true;
+    }
+    push_node(Node{child_logp, parent, static_cast<int>(t)});
   }
+  release_parent(parent);  // frees it here if no child survived
   stats_.heap_peak = std::max(stats_.heap_peak, frontier_.size());
   search_metrics().heap_peak.set(static_cast<double>(stats_.heap_peak));
   enforce_budgets();
 }
 
 void OrderedEnumerator::enforce_budgets() {
-  if (frontier_.size() <= opts_.max_nodes &&
-      cache_.bytes() <= opts_.cache_bytes)
-    return;
-  // Best-first order; drop from the tail (the worst nodes). Releasing a
-  // dropped node's pin lets the trie's deferred LRU eviction reclaim its
-  // parent state once no sibling still pins it.
-  std::sort(frontier_.begin(), frontier_.end(),
-            [](const Node& a, const Node& b) { return worse(b, a); });
+  // Drop the worst nodes one at a time, each in O(log n). Releasing a
+  // dropped node's record lets the trie's deferred LRU eviction reclaim
+  // its parent state once no sibling still references it.
   while (frontier_.size() > 1 && (frontier_.size() > opts_.max_nodes ||
                                   cache_.bytes() > opts_.cache_bytes)) {
-    Node dropped = std::move(frontier_.back());
+    pop_minmax_heap_min(frontier_.begin(), frontier_.end(), by_worse());
+    const Node dropped = frontier_.back();
     frontier_.pop_back();
     ++stats_.truncated;
     search_metrics().truncated.inc();
     stats_.truncated_log_prob =
         std::max(stats_.truncated_log_prob, dropped.logp);
+    release_parent(dropped.parent);
   }
-  std::make_heap(frontier_.begin(), frontier_.end(), worse);
 }
 
 std::optional<ScoredGuess> OrderedEnumerator::next() {
@@ -234,10 +287,13 @@ std::optional<ScoredGuess> OrderedEnumerator::next() {
       done_ = true;
       return std::nullopt;
     }
-    Node best = pop_node();
-    if (best.seq.back() == tok::Tokenizer::kEos) {
-      best.parent.release();
-      auto pw = tok::Tokenizer::decode_password(best.seq);
+    const Node best = pop_node();
+    const std::vector<int>& parent_seq = parents_[best.parent].seq;
+    seq_.assign(parent_seq.begin(), parent_seq.end());
+    seq_.push_back(best.token);
+    if (best.token == tok::Tokenizer::kEos) {
+      release_parent(best.parent);
+      auto pw = tok::Tokenizer::decode_password(seq_);
       if (!pw.has_value() || pw->empty()) {
         ++stats_.invalid;
         continue;
@@ -254,10 +310,11 @@ std::optional<ScoredGuess> OrderedEnumerator::next() {
       stats_.expansion_capped = true;
       stats_.truncated_log_prob =
           std::max(stats_.truncated_log_prob, best.logp);
+      release_parent(best.parent);
       done_ = true;
       return std::nullopt;
     }
-    expand(std::move(best));
+    expand(best);
   }
 }
 

@@ -2,12 +2,12 @@
 //
 // Sampling draws guesses i.i.d. from the model, so the k-th guess is only
 // as good as sampling luck and duplicate draws allow. This engine instead
-// *searches* the model's distribution: a max-heap frontier of partial
-// token sequences keyed by cumulative log-probability, expanded best-first.
+// *searches* the model's distribution: a frontier of partial token
+// sequences keyed by cumulative log-probability, expanded best-first.
 // Because extending a sequence can only lower its log-probability
 // (log-probs are <= 0), the frontier key is an admissible bound on every
-// completion below a node — so when an <EOS>-terminated node reaches the
-// top of the heap it is *provably* the most likely remaining guess, and
+// completion below a node — so when an <EOS>-terminated node is the best
+// in the frontier it is *provably* the most likely remaining guess, and
 // the enumerator emits guesses in exactly descending model probability
 // with no duplicates.
 //
@@ -18,11 +18,14 @@
 // (stats().truncated_log_prob) — guesses with log-prob at or below that
 // bound may be missing, anything above it is guaranteed complete.
 //
-// KV-cache integration: every frontier node pins (KvTrieCache::Handle) the
-// snapshot covering its sequence minus the last token, so expansion costs
-// one resume + one step — no prefix re-prime. Budget pressure is resolved
-// by dropping the *lowest-priority* frontier nodes, whose released pins
-// let the trie's LRU eviction reclaim bytes.
+// KV-cache integration: every expanded node keeps one parent record — its
+// token sequence and one pin (KvTrieCache::Handle) on its snapshot — that
+// all of its frontier children share, so expanding a child costs one
+// resume + one step and no prefix re-prime, and pushing a child costs no
+// trie lookup and no allocation. Budget pressure is resolved by dropping
+// the *lowest-priority* frontier nodes; a record's pin is released when
+// its last child leaves the frontier, which lets the trie's LRU eviction
+// reclaim bytes.
 //
 // Determinism: single-threaded, no RNG. Ties in cumulative log-prob are
 // broken by lexicographically smaller token sequence, making the emission
@@ -31,6 +34,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
@@ -108,6 +112,8 @@ struct ScoredGuess {
 /// so the exactness property test can brute-force rankings bitwise
 /// identically.
 std::vector<double> masked_log_probs(std::span<const float> logits);
+/// The same into `out` (resized to logits.size()), reusing its storage.
+void masked_log_probs(std::span<const float> logits, std::vector<double>& out);
 
 /// Best-first enumerator over one request prefix. Yields complete guesses
 /// one at a time in strictly descending (log_prob, lexicographic) order.
@@ -139,36 +145,56 @@ class OrderedEnumerator {
   const gpt::KvTrieCache& cache() const noexcept { return cache_; }
 
  private:
-  /// A frontier entry: full token sequence (request prefix included),
-  /// cumulative log-prob of the tokens after the prefix, and a pin on the
-  /// cached snapshot covering seq minus its last token (empty when that
-  /// snapshot was evicted before we could pin it — expansion then falls
-  /// back to find_longest + re-prime, bitwise identical by the kv_cache
-  /// determinism contract).
+  /// A frontier entry: cumulative log-prob of the tokens after the prefix,
+  /// the last token, and the parent record holding everything before it.
+  /// Full sequences are built only when a node is popped.
   struct Node {
     double logp = 0.0;
-    std::vector<int> seq;
-    gpt::KvTrieCache::Handle parent;
+    std::uint32_t parent = 0;  ///< index into parents_
+    int token = 0;
   };
 
-  /// Strict-weak "worse-than" order for the max-heap: lower logp is worse;
-  /// equal logp breaks toward the lexicographically smaller sequence. No
-  /// two frontier nodes share a sequence, so this is a total order and the
-  /// pop order is deterministic.
-  static bool worse(const Node& a, const Node& b) noexcept {
-    if (a.logp != b.logp) return a.logp < b.logp;
-    return b.seq < a.seq;
+  /// One expanded node, shared by all of its children in the frontier:
+  /// its full token sequence and a pin on the cached snapshot after it
+  /// (empty when the insert was evicted before the pin — expansion then
+  /// falls back to find_longest + re-prime, bitwise identical by the
+  /// kv_cache determinism contract). Freed, pin released, when its last
+  /// child leaves the frontier.
+  struct Parent {
+    std::vector<int> seq;
+    gpt::KvTrieCache::Handle pin;
+    /// Frontier nodes referencing it, plus one while push_children runs.
+    std::uint32_t children = 0;
+  };
+
+  /// Strict-weak "worse-than" order for the frontier: lower logp is worse;
+  /// equal logp breaks toward the lexicographically smaller full sequence.
+  /// No two frontier nodes share a sequence, so this is a total order and
+  /// the pop order is deterministic.
+  bool worse(const Node& a, const Node& b) const noexcept;
+  /// worse() as a heap comparator.
+  auto by_worse() const noexcept {
+    return [this](const Node& a, const Node& b) { return worse(a, b); };
   }
+  /// Full sequence of a < full sequence of b, lexicographically, compared
+  /// through the parent records without building either.
+  bool sequence_less(const Node& a, const Node& b) const noexcept;
 
   void expand_root();
-  void expand(Node node);
-  /// Scores `logits` after `seq` (masked + renormalized), pushes every
-  /// surviving child, then enforces the heap/byte budgets.
-  void push_children(const std::vector<int>& seq, double logp,
+  /// Expands the node just popped, whose full sequence is in seq_.
+  void expand(const Node& node);
+  /// Scores `logits` after `parent`'s sequence (masked + renormalized),
+  /// pushes every surviving child, then enforces the heap/byte budgets.
+  void push_children(std::uint32_t parent, double logp,
                      std::span<const float> logits);
   void enforce_budgets();
   void push_node(Node n);
   Node pop_node();
+  /// A record holding `seq`, reusing a freed one when there is one.
+  std::uint32_t new_parent(std::span<const int> seq);
+  /// Drops one reference to record `id`; the last one releases its pin
+  /// and frees it for reuse.
+  void release_parent(std::uint32_t id);
 
   const gpt::GptModel* model_;
   std::vector<int> prefix_;
@@ -176,12 +202,16 @@ class OrderedEnumerator {
   gpt::LogitMask mask_;
   const gpt::KvState* resume_;  ///< cleared after the root expansion
 
-  // Declared before frontier_ so outstanding pins release first: the trie
+  // Declared before parents_ so outstanding pins release first: the trie
   // asserts no live handles at destruction.
   gpt::KvTrieCache cache_;
   gpt::InferenceSession session_;
-  std::vector<Node> frontier_;  ///< heap ordered by worse()
+  std::vector<Parent> parents_;
+  std::vector<std::uint32_t> free_parents_;  ///< reusable parents_ slots
+  std::vector<Node> frontier_;  ///< min-max heap ordered by worse()
   std::vector<float> scratch_;  ///< masked logit row
+  std::vector<double> log_probs_;  ///< masked_log_probs of scratch_
+  std::vector<int> seq_;  ///< full sequence of the node being expanded
   OrderedStats stats_;
   bool primed_ = false;
   bool done_ = false;

@@ -25,15 +25,6 @@ namespace {
 
 using namespace ppg;
 
-gpt::Config config_by_name(const std::string& name) {
-  if (name == "tiny") return gpt::Config::tiny();
-  if (name == "small") return gpt::Config::small();
-  if (name == "bench") return gpt::Config::bench();
-  if (name == "paper") return gpt::Config::paper();
-  throw std::invalid_argument("unknown --config '" + name +
-                              "' (tiny|small|bench|paper)");
-}
-
 pcfg::PatternDistribution builtin_patterns(const std::string& csv) {
   pcfg::PatternDistribution dist;
   std::stringstream ss(csv);
@@ -90,7 +81,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const auto config = config_by_name(cli.get("config", "tiny"));
+    const auto config = gpt::Config::by_name(cli.get("config", "tiny"));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 17));
     if (cli.has("nn-backend"))
       nn::set_backend(nn::parse_backend(cli.get("nn-backend")));

@@ -37,6 +37,26 @@ TEST(Config, PaperConfigMatchesPublication) {
   EXPECT_NO_THROW(c.validate());
 }
 
+TEST(Config, ByNameCoversEveryPresetAndRejectsOthers) {
+  const auto same = [](const Config& a, const Config& b) {
+    return a.vocab == b.vocab && a.d_model == b.d_model &&
+           a.n_layers == b.n_layers && a.n_heads == b.n_heads &&
+           a.context == b.context && a.dropout == b.dropout;
+  };
+  EXPECT_TRUE(same(Config::by_name("tiny"), Config::tiny()));
+  EXPECT_TRUE(same(Config::by_name("small"), Config::small()));
+  EXPECT_TRUE(same(Config::by_name("bench"), Config::bench()));
+  EXPECT_TRUE(same(Config::by_name("paper"), Config::paper()));
+  try {
+    Config::by_name("huge");
+    FAIL() << "by_name accepted an unknown name";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("huge"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("tiny|small|bench|paper"), std::string::npos) << msg;
+  }
+}
+
 TEST(GptModel, ForwardShapes) {
   GptModel m(Config::tiny(), 1);
   nn::Graph g;

@@ -198,7 +198,7 @@ const std::vector<Rule> kRules = {
      {"parse_env", "make_bench_record", "append_trajectory"},
      {}},
     {"unbounded-frontier-push",
-     {"std::priority_queue", "push_heap"},
+     {"std::priority_queue", "push_heap", "push_minmax_heap"},
      "frontier pushes in src/search must sit within two lines of a budget "
      "check (max_nodes / cache_bytes / enforce_budgets) — an unguarded "
      "best-first heap grows geometrically into an OOM",
