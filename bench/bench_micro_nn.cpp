@@ -111,7 +111,7 @@ void BM_InferenceDecode(benchmark::State& state) {
                                 tok::Tokenizer::kBos);
   session.reset(batch);
   for (auto _ : state) {
-    if (session.position() >= model.config().context) session.reset(batch);
+    if (session.position(0) >= model.config().context) session.reset(batch);
     benchmark::DoNotOptimize(session.step(tokens).data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -128,7 +128,7 @@ void BM_InferenceDecodeInt8(benchmark::State& state) {
                                 tok::Tokenizer::kBos);
   session.reset(batch);
   for (auto _ : state) {
-    if (session.position() >= model.config().context) session.reset(batch);
+    if (session.position(0) >= model.config().context) session.reset(batch);
     benchmark::DoNotOptimize(session.step(tokens).data());
   }
   state.SetItemsProcessed(state.iterations() * batch);

@@ -3,9 +3,11 @@
 // Sweeps client count × batching mode against one GuessService (1 worker:
 // on a single core, batching's win is per-call amortisation — one weight
 // pass feeds N rows — not parallelism). Each client thread runs a closed
-// loop of count-1 pattern requests; all patterns in the mix have the same
-// segment count, so every request shares a prefix length and the dynamic
-// batcher can coalesce up to max_batch of them into one model call.
+// loop of count-1 pattern requests, and the dynamic batcher coalesces up
+// to max_batch of them into one model call. All patterns in the mix have
+// the same segment count, so every request shares a prefix length; the
+// batcher no longer needs that (rows decode at their own positions), but
+// the mix stays as it was so the trajectory stays comparable.
 //
 // Reports guesses/sec, p50/p99 request latency, scheduler occupancy
 // (mean rows per model call), and the batched/unbatched throughput ratio

@@ -312,8 +312,8 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
   std::vector<std::unique_ptr<std::vector<pcfg::Segment>>> parsed_patterns;
   std::vector<Task> leaves;
   std::vector<std::string> forced;  // fully-determined outputs
-  // Pending division tasks grouped by prefix length so divisions batch into
-  // lockstep InferenceSession calls (optimisation 3).
+  // Pending division tasks grouped by prefix length; each batch divides up
+  // to division_batch tasks of the shortest length (optimisation 3).
   std::map<std::size_t, std::vector<Task>> pending;
 
   auto route = [&](Task t) {
@@ -449,9 +449,8 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     cache = std::make_unique<gpt::KvTrieCache>(cfg.kv_cache_bytes);
   gpt::InferenceSession session(model, cfg.sample.precision);
   const auto& class_sets = ClassTokenSets::instance();
-  std::vector<int> feed;
-  std::vector<float> task_logits;  ///< [group_size, vocab] scratch
-  const gpt::Index vocab = model.config().vocab;
+  std::vector<gpt::KvTrieCache::Handle> handles;
+  std::vector<gpt::PrefillRow> starts;
   while (!pending.empty()) {
     obs::Span division_span("dcgen/division_batch", "dcgen");
     auto bucket_it = pending.begin();
@@ -463,74 +462,32 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     bucket.resize(bucket.size() - take);
     if (bucket.empty()) pending.erase(bucket_it);
 
-    const std::size_t len = group.front().prefix.size();
-
-    // Phase 1: compute each task's last-prefix-token logits. Sub-batches
-    // group tasks whose deepest cached ancestor sits at the same depth so
-    // every sub-batch stays a lockstep session; with the cache off there
-    // is exactly one sub-batch at depth 0 (the original full prime).
-    task_logits.assign(group.size() * static_cast<std::size_t>(vocab), 0.f);
-    const auto run_subbatch = [&](const std::vector<std::size_t>& idxs,
-                                  std::span<const gpt::KvState* const> states,
-                                  std::size_t depth) {
-      if (depth > 0)
-        session.resume_rows(states, static_cast<gpt::Index>(depth));
-      else
-        session.reset(static_cast<gpt::Index>(idxs.size()));
-      feed.resize(idxs.size());
-      for (std::size_t p = depth; p < len; ++p) {
-        for (std::size_t j = 0; j < idxs.size(); ++j)
-          feed[j] = group[idxs[j]].prefix[p];
-        session.step(feed);
-      }
-      ++local.model_calls;
-      const std::size_t primed = (len - depth) * idxs.size();
-      local.prefill_tokens += primed;
-      local.prefill_saved += depth * idxs.size();
-      gpt::kv_cache_metrics().prefill_tokens.inc(primed);
-      for (std::size_t j = 0; j < idxs.size(); ++j) {
-        const auto row = session.logits_row(static_cast<gpt::Index>(j));
-        std::copy(row.begin(), row.end(),
-                  task_logits.begin() +
-                      static_cast<std::ptrdiff_t>(idxs[j]) * vocab);
-        if (cache)
-          cache->insert(group[idxs[j]].prefix,
-                        session.snapshot(static_cast<gpt::Index>(j)));
-      }
-    };
-    if (!cache) {
-      std::vector<std::size_t> all(group.size());
-      for (std::size_t i = 0; i < group.size(); ++i) all[i] = i;
-      run_subbatch(all, {}, 0);
-    } else {
-      std::vector<gpt::KvTrieCache::Handle> handles(group.size());
-      std::map<std::size_t, std::vector<std::size_t>> by_depth;
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        handles[i] = cache->find_longest(group[i].prefix);
-        by_depth[static_cast<std::size_t>(handles[i].len())].push_back(i);
-      }
-      for (const auto& [depth, idxs] : by_depth) {
-        std::vector<const gpt::KvState*> states;
-        if (depth > 0) {
-          states.reserve(idxs.size());
-          for (const std::size_t i : idxs)
-            states.push_back(handles[i].state());
-        }
-        run_subbatch(idxs, states, depth);
-      }
+    // Phase 1: one prefill brings every task to the logits after its whole
+    // prefix, each row resuming from its own deepest cached ancestor.
+    handles.clear();
+    starts.clear();
+    for (const Task& t : group) {
+      if (cache) handles.push_back(cache->find_longest(t.prefix));
+      starts.push_back({t.prefix, cache ? handles.back().state() : nullptr});
     }
+    const gpt::PrefillCounts primed = session.prefill(starts);
+    ++local.model_calls;
+    local.prefill_tokens += primed.tokens;
+    local.prefill_saved += primed.saved;
+    if (cache)
+      for (std::size_t i = 0; i < group.size(); ++i)
+        cache->insert(group[i].prefix,
+                      session.snapshot(static_cast<gpt::Index>(i)));
 
-    // Phase 2: route children in the group's original order — identical to
-    // the uncached path, so the leaf list (and thus the output order) never
-    // depends on how phase 1 was sub-batched.
+    // Phase 2: route children in the group's order, so the leaf list (and
+    // thus the output order) never depends on what the cache held.
     for (std::size_t i = 0; i < group.size(); ++i) {
       Task& t = group[i];
       ++local.divisions;
       const auto cls = pcfg::class_at(*t.pattern, t.chars_done);
       const auto& allowed = class_sets.of(*cls);
-      const std::span<const float> logits(
-          task_logits.data() + static_cast<std::ptrdiff_t>(i) * vocab,
-          static_cast<std::size_t>(vocab));
+      const std::span<const float> logits =
+          session.logits_row(static_cast<gpt::Index>(i));
       // Softmax restricted to the candidate tokens (paper: c = 52/10/32).
       float mx = -1e30f;
       for (std::size_t v = 0; v < logits.size(); ++v)

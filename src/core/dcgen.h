@@ -15,7 +15,9 @@
 //  1. T sized to the generation batch the backend executes in parallel;
 //  2. per-task counts capped by the remaining pattern capacity
 //     (52^letters · 10^digits · 32^specials of the unfilled suffix);
-//  3. divisions are batched across tasks of equal prefix length, and
+//  3. divisions are batched: up to division_batch tasks of one prefix
+//     length per model call, shortest first, each row resuming from its
+//     own deepest cached ancestor (one InferenceSession::prefill); and
 //     prefixes stay in token form end-to-end (no re-encoding).
 #pragma once
 
@@ -89,7 +91,7 @@ struct DcGenConfig {
   /// generations resume from the deepest cached ancestor prefix instead of
   /// re-priming from <BOS>. Guess output is bitwise identical either way,
   /// for any thread count and any byte budget (tests/kv_cache_test.cpp);
-  /// only the prefill work and the model_calls count change.
+  /// only the prefill work changes.
   bool kv_cache = true;
   /// Byte budget for the per-run cache. LRU eviction of unpinned nodes;
   /// a tiny budget degrades hit depth, never correctness.
@@ -108,7 +110,7 @@ struct DcGenConfig {
 /// Run diagnostics.
 struct DcGenStats {
   std::size_t divisions = 0;    ///< tasks expanded into children
-  std::size_t model_calls = 0;  ///< batched division forwards
+  std::size_t model_calls = 0;  ///< batched division prefills
   std::size_t leaves = 0;       ///< executed leaf tasks
   std::size_t dropped = 0;      ///< subtasks below min_task
   std::size_t forced = 0;       ///< fully-determined prefixes emitted directly

@@ -51,16 +51,16 @@ void InferenceSession::bind_weights() {
     pweights_ = model_->packed();
 }
 
-void InferenceSession::project(const nn::PackedMatrix& w, const float* x,
-                               const float* bias, float* y) {
-  nn::kernels::packed_affine(batch_, w.n, w.k, x, w.data, bias, y);
+void InferenceSession::project(const nn::PackedMatrix& w, Index m,
+                               const float* x, const float* bias, float* y) {
+  nn::kernels::packed_affine(m, w.n, w.k, x, w.data, bias, y);
 }
 
-void InferenceSession::project(const nn::quant::QuantizedMatrix& w,
+void InferenceSession::project(const nn::quant::QuantizedMatrix& w, Index m,
                                const float* x, const float* bias, float* y) {
-  nn::kernels::quantize_rows(batch_, w.k, w.k_pad, x, qx_.data(), qs_.data());
-  nn::kernels::qaffine(batch_, w.n, w.k_pad, qx_.data(), qs_.data(),
-                       w.data.data(), w.scales.data(), bias, y);
+  nn::kernels::quantize_rows(m, w.k, w.k_pad, x, qx_.data(), qs_.data());
+  nn::kernels::qaffine(m, w.n, w.k_pad, qx_.data(), qs_.data(), w.data.data(),
+                       w.scales.data(), bias, y);
 }
 
 void InferenceSession::reset(Index batch) {
@@ -69,12 +69,12 @@ void InferenceSession::reset(Index batch) {
   const Config& c = model_->config();
   bind_weights();
   batch_ = batch;
-  pos_ = 0;
-  logits_ready_ = false;
+  pos_.assign(static_cast<std::size_t>(batch), 0);
+  ready_.assign(static_cast<std::size_t>(batch), 0);
   // Every buffer is indexed with a per-row stride, so a batch that fits the
-  // existing allocation reuses it as-is: rows < batch_ are fully rewritten
-  // before being read (the KV caches only ever read positions <= pos_, all
-  // written since this reset), and stale rows >= batch_ are never touched.
+  // existing allocation reuses it as-is: a row's KV slot is only read at
+  // positions it has written (or resumed) since this reset, activation rows
+  // are rewritten before being read, and logits are read only once ready.
   if (batch > capacity_) {
     const std::size_t cache =
         static_cast<std::size_t>(batch * c.context * c.d_model);
@@ -108,117 +108,143 @@ void InferenceSession::reset(Index batch) {
 }
 
 std::span<const float> InferenceSession::step(std::span<const int> tokens) {
-  InferMetrics& m = InferMetrics::get();
-  m.steps.inc();
-  m.tokens.inc(static_cast<std::uint64_t>(tokens.size()));
-  obs::ScopedLatency latency(m.step_us);
-  obs::Span span("infer/step", "gpt");
   const Config& c = model_->config();
   if (batch_ == 0)
     throw std::logic_error("InferenceSession::step before reset()");
   if (static_cast<Index>(tokens.size()) != batch_)
     throw std::invalid_argument("InferenceSession::step: token count != batch");
-  if (pos_ >= c.context)
-    throw std::runtime_error("InferenceSession::step: context exhausted");
-  const Index d = c.d_model;
-
-  // Embedding: x = wte[token] + wpe[pos].
-  const float* wte = model_->wte().table().data().data();
-  const float* wpe_row = model_->wpe().table().data().data() + pos_ * d;
+  live_.clear();
   for (Index i = 0; i < batch_; ++i) {
-    const int tok = tokens[i];
+    const int tok = tokens[static_cast<std::size_t>(i)];
+    if (tok == kIdle) continue;
     if (tok < 0 || tok >= c.vocab)
       throw std::invalid_argument("InferenceSession::step: token out of range");
-    const float* te = wte + static_cast<Index>(tok) * d;
-    float* xr = x_.data() + i * d;
-    for (Index j = 0; j < d; ++j) xr[j] = te[j] + wpe_row[j];
+    if (pos_[static_cast<std::size_t>(i)] >= c.context)
+      throw std::runtime_error("InferenceSession::step: context exhausted");
+    live_.push_back(i);
+  }
+  const std::span<const float> all(logits_.data(),
+                                   static_cast<std::size_t>(batch_ * c.vocab));
+  const Index m = static_cast<Index>(live_.size());
+  if (m == 0) return all;
+  InferMetrics& metrics = InferMetrics::get();
+  metrics.steps.inc();
+  metrics.tokens.inc(static_cast<std::uint64_t>(m));
+  obs::ScopedLatency latency(metrics.step_us);
+  obs::Span span("infer/step", "gpt");
+  const Index d = c.d_model;
+
+  // Embedding: x = wte[token] + wpe[pos], each row at its own position.
+  const float* wte = model_->wte().table().data().data();
+  const float* wpe = model_->wpe().table().data().data();
+  for (Index j = 0; j < m; ++j) {
+    const Index r = live_[static_cast<std::size_t>(j)];
+    const float* te =
+        wte + static_cast<Index>(tokens[static_cast<std::size_t>(r)]) * d;
+    const float* pe = wpe + pos_[static_cast<std::size_t>(r)] * d;
+    float* xr = x_.data() + j * d;
+    for (Index k = 0; k < d; ++k) xr[k] = te[k] + pe[k];
   }
 
-  if (scores_.size() < static_cast<std::size_t>(pos_ + 1))
+  if (scores_.size() < static_cast<std::size_t>(c.context))
     scores_.resize(static_cast<std::size_t>(c.context));
+  // With every row fed the activation rows are the session rows, so the
+  // lm_head writes logits_ in place; otherwise it writes compact rows that
+  // are scattered to their owners, leaving the idle rows' logits alone.
+  const bool compact = m < batch_;
+  if (compact)
+    step_logits_.resize(static_cast<std::size_t>(m * c.vocab));
+  float* out = compact ? step_logits_.data() : logits_.data();
   if (qweights_ != nullptr)
-    forward(*qweights_);
+    forward(*qweights_, out);
   else
-    forward(*pweights_);
-  ++pos_;
-  logits_ready_ = true;
-  return {logits_.data(), static_cast<std::size_t>(batch_ * c.vocab)};
+    forward(*pweights_, out);
+  for (Index j = 0; j < m; ++j) {
+    const auto r = static_cast<std::size_t>(live_[static_cast<std::size_t>(j)]);
+    if (compact)
+      std::memcpy(logits_.data() + r * static_cast<std::size_t>(c.vocab),
+                  out + j * c.vocab,
+                  static_cast<std::size_t>(c.vocab) * sizeof(float));
+    ++pos_[r];
+    ready_[r] = 1;
+  }
+  return all;
 }
 
 template <class M>
-void InferenceSession::forward(const DerivedWeights<M>& w) {
+void InferenceSession::forward(const DerivedWeights<M>& w, float* logits) {
   const Config& c = model_->config();
   const Index d = c.d_model, heads = c.n_heads, dh = d / heads;
+  const Index m = static_cast<Index>(live_.size());
   const float scale = 1.f / std::sqrt(static_cast<float>(dh));
   float* const scores = scores_.data();
   for (Index l = 0; l < c.n_layers; ++l) {
     const Block& blk = model_->blocks()[static_cast<std::size_t>(l)];
     const BlockWeights<M>& wb = w.blocks[static_cast<std::size_t>(l)];
     // Attention: h = ln1(x); qkv = h·Wqkv+b; cache k,v; attend; x += proj.
-    nn::kernels::layernorm_rows(batch_, d, x_.data(),
-                                blk.ln1.gain().data().data(),
+    nn::kernels::layernorm_rows(m, d, x_.data(), blk.ln1.gain().data().data(),
                                 blk.ln1.bias().data().data(), h_.data());
-    project(wb.qkv, h_.data(), blk.qkv.bias().data().data(), qkv_.data());
+    project(wb.qkv, m, h_.data(), blk.qkv.bias().data().data(), qkv_.data());
     float* kc = kcache_[static_cast<std::size_t>(l)].data();
     float* vc = vcache_[static_cast<std::size_t>(l)].data();
-    for (Index i = 0; i < batch_; ++i) {
+    for (Index i = 0; i < m; ++i) {
+      const Index r = live_[static_cast<std::size_t>(i)];
+      const Index pos = pos_[static_cast<std::size_t>(r)];
+      // Row r's slot: positions [0, pos] of its own sequence.
+      float* const kslot = kc + r * c.context * d;
+      float* const vslot = vc + r * c.context * d;
       const float* krow = qkv_.data() + i * 3 * d + d;
       const float* vrow = qkv_.data() + i * 3 * d + 2 * d;
-      float* kdst = kc + (i * c.context + pos_) * d;
-      float* vdst = vc + (i * c.context + pos_) * d;
       for (Index j = 0; j < d; ++j) {
-        kdst[j] = krow[j];
-        vdst[j] = vrow[j];
+        kslot[pos * d + j] = krow[j];
+        vslot[pos * d + j] = vrow[j];
       }
-    }
-    for (Index i = 0; i < batch_; ++i) {
       const float* q = qkv_.data() + i * 3 * d;
       float* out = att_.data() + i * d;
       for (Index hh = 0; hh < heads; ++hh) {
         const float* qh = q + hh * dh;
         float mx = -1e30f;
-        for (Index s = 0; s <= pos_; ++s) {
-          const float* kh = kc + (i * c.context + s) * d + hh * dh;
+        for (Index s = 0; s <= pos; ++s) {
+          const float* kh = kslot + s * d + hh * dh;
           float acc = 0.f;
           for (Index j = 0; j < dh; ++j) acc += qh[j] * kh[j];
           scores[s] = acc * scale;
           mx = std::max(mx, scores[s]);
         }
         float z = 0.f;
-        for (Index s = 0; s <= pos_; ++s) {
+        for (Index s = 0; s <= pos; ++s) {
           scores[s] = std::exp(scores[s] - mx);
           z += scores[s];
         }
         const float inv = 1.f / z;
         float* oh = out + hh * dh;
         for (Index j = 0; j < dh; ++j) oh[j] = 0.f;
-        for (Index s = 0; s <= pos_; ++s) {
+        for (Index s = 0; s <= pos; ++s) {
           const float p = scores[s] * inv;
-          const float* vh = vc + (i * c.context + s) * d + hh * dh;
+          const float* vh = vslot + s * d + hh * dh;
           for (Index j = 0; j < dh; ++j) oh[j] += p * vh[j];
         }
       }
     }
     // x += proj(att)
-    project(wb.proj, att_.data(), blk.proj.bias().data().data(), h_.data());
-    for (Index i = 0; i < batch_ * d; ++i) x_[i] += h_[i];
+    project(wb.proj, m, att_.data(), blk.proj.bias().data().data(), h_.data());
+    for (Index i = 0; i < m * d; ++i) x_[i] += h_[i];
     // MLP: x += fc2(gelu(fc1(ln2(x))))
-    nn::kernels::layernorm_rows(batch_, d, x_.data(),
-                                blk.ln2.gain().data().data(),
+    nn::kernels::layernorm_rows(m, d, x_.data(), blk.ln2.gain().data().data(),
                                 blk.ln2.bias().data().data(), h_.data());
-    project(wb.fc1, h_.data(), blk.fc1.bias().data().data(), ff_.data());
-    // Only the live batch's rows — ff_ may be capacity-sized (reset reuse).
-    const Index ffn = batch_ * c.d_ff();
+    project(wb.fc1, m, h_.data(), blk.fc1.bias().data().data(), ff_.data());
+    // Only the fed rows — ff_ may be capacity-sized (reset reuse).
+    const Index ffn = m * c.d_ff();
     for (Index idx = 0; idx < ffn; ++idx) ff_[idx] = gelu1(ff_[idx]);
-    project(wb.fc2, ff_.data(), blk.fc2.bias().data().data(), h_.data());
-    for (Index i = 0; i < batch_ * d; ++i) x_[i] += h_[i];
+    project(wb.fc2, m, ff_.data(), blk.fc2.bias().data().data(), h_.data());
+    for (Index i = 0; i < m * d; ++i) x_[i] += h_[i];
   }
 
-  nn::kernels::layernorm_rows(batch_, d, x_.data(),
+  nn::kernels::layernorm_rows(m, d, x_.data(),
                               model_->ln_f().gain().data().data(),
                               model_->ln_f().bias().data().data(), h_.data());
-  project(w.lm_head, h_.data(), model_->lm_head().bias().data().data(),
-          logits_.data());
+  project(w.lm_head, m, h_.data(), model_->lm_head().bias().data().data(),
+          logits);
 }
 
 KvState InferenceSession::snapshot(Index row) const {
@@ -227,11 +253,12 @@ KvState InferenceSession::snapshot(Index row) const {
     throw std::logic_error("InferenceSession::snapshot before reset()");
   if (row < 0 || row >= batch_)
     throw std::invalid_argument("InferenceSession::snapshot: row out of range");
-  if (pos_ == 0)
+  const Index pos = pos_[static_cast<std::size_t>(row)];
+  if (pos == 0)
     throw std::logic_error("InferenceSession::snapshot before any step()");
   const Index d = c.d_model;
   KvState s;
-  s.len = pos_;
+  s.len = pos;
   s.k.resize(static_cast<std::size_t>(c.n_layers));
   s.v.resize(static_cast<std::size_t>(c.n_layers));
   for (Index l = 0; l < c.n_layers; ++l) {
@@ -239,73 +266,82 @@ KvState InferenceSession::snapshot(Index row) const {
         kcache_[static_cast<std::size_t>(l)].data() + row * c.context * d;
     const float* vc =
         vcache_[static_cast<std::size_t>(l)].data() + row * c.context * d;
-    s.k[static_cast<std::size_t>(l)].assign(kc, kc + pos_ * d);
-    s.v[static_cast<std::size_t>(l)].assign(vc, vc + pos_ * d);
+    s.k[static_cast<std::size_t>(l)].assign(kc, kc + pos * d);
+    s.v[static_cast<std::size_t>(l)].assign(vc, vc + pos * d);
   }
   const auto lr = logits_row(row);
   s.logits.assign(lr.begin(), lr.end());
   return s;
 }
 
-void InferenceSession::resume(const KvState& state, Index batch) {
-  resume(state, batch, state.len);
-}
-
-void InferenceSession::resume(const KvState& state, Index batch, Index depth) {
-  std::vector<const KvState*> states(static_cast<std::size_t>(batch), &state);
-  resume_rows(states, depth);
-}
-
-void InferenceSession::resume_rows(std::span<const KvState* const> states,
-                                   Index depth) {
+void InferenceSession::resume(Index row, const KvState& state) {
   const Config& c = model_->config();
-  if (states.empty())
-    throw std::invalid_argument("InferenceSession::resume_rows: empty batch");
-  if (depth < 0 || depth > c.context)
-    throw std::invalid_argument(
-        "InferenceSession::resume_rows: depth out of range");
-  for (const KvState* s : states) {
-    if (s == nullptr)
-      throw std::invalid_argument("InferenceSession::resume_rows: null state");
-    if (depth > s->len)
-      throw std::invalid_argument(
-          "InferenceSession::resume_rows: depth exceeds a state's length");
-    if (static_cast<Index>(s->k.size()) != c.n_layers ||
-        static_cast<Index>(s->v.size()) != c.n_layers)
-      throw std::invalid_argument(
-          "InferenceSession::resume_rows: layer count mismatch");
-  }
-  reset(static_cast<Index>(states.size()));
+  if (row < 0 || row >= batch_)
+    throw std::invalid_argument("InferenceSession::resume: row out of range");
+  if (state.len < 0 || state.len > c.context)
+    throw std::invalid_argument("InferenceSession::resume: length out of range");
+  if (static_cast<Index>(state.k.size()) != c.n_layers ||
+      static_cast<Index>(state.v.size()) != c.n_layers)
+    throw std::invalid_argument("InferenceSession::resume: layer count mismatch");
   const Index d = c.d_model;
+  const auto floats = static_cast<std::size_t>(state.len * d);
+  for (Index l = 0; l < c.n_layers; ++l)
+    if (state.k[static_cast<std::size_t>(l)].size() < floats ||
+        state.v[static_cast<std::size_t>(l)].size() < floats)
+      throw std::invalid_argument("InferenceSession::resume: short K/V block");
+  const std::size_t bytes = floats * sizeof(float);
   for (Index l = 0; l < c.n_layers; ++l) {
-    float* kc = kcache_[static_cast<std::size_t>(l)].data();
-    float* vc = vcache_[static_cast<std::size_t>(l)].data();
-    for (Index i = 0; i < batch_; ++i) {
-      const KvState& s = *states[static_cast<std::size_t>(i)];
-      std::memcpy(kc + i * c.context * d,
-                  s.k[static_cast<std::size_t>(l)].data(),
-                  static_cast<std::size_t>(depth * d) * sizeof(float));
-      std::memcpy(vc + i * c.context * d,
-                  s.v[static_cast<std::size_t>(l)].data(),
-                  static_cast<std::size_t>(depth * d) * sizeof(float));
+    const auto li = static_cast<std::size_t>(l);
+    std::memcpy(kcache_[li].data() + row * c.context * d, state.k[li].data(),
+                bytes);
+    std::memcpy(vcache_[li].data() + row * c.context * d, state.v[li].data(),
+                bytes);
+  }
+  const auto r = static_cast<std::size_t>(row);
+  pos_[r] = state.len;
+  ready_[r] = static_cast<Index>(state.logits.size()) == c.vocab;
+  if (ready_[r])
+    std::memcpy(logits_.data() + r * static_cast<std::size_t>(c.vocab),
+                state.logits.data(),
+                static_cast<std::size_t>(c.vocab) * sizeof(float));
+}
+
+PrefillCounts InferenceSession::prefill(std::span<const PrefillRow> rows) {
+  for (const PrefillRow& r : rows) {
+    if (r.tokens.empty())
+      throw std::invalid_argument("InferenceSession::prefill: row has no tokens");
+    if (r.state != nullptr &&
+        r.state->len > static_cast<Index>(r.tokens.size()))
+      throw std::invalid_argument(
+          "InferenceSession::prefill: resume state deeper than the row's "
+          "tokens");
+  }
+  obs::ScopedLatency latency(InferMetrics::get().prime_us);
+  reset(static_cast<Index>(rows.size()));
+  PrefillCounts n;
+  std::size_t longest = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const PrefillRow& r = rows[i];
+    if (r.state != nullptr) {
+      resume(static_cast<Index>(i), *r.state);
+      n.saved += static_cast<std::size_t>(r.state->len);
     }
+    const std::size_t rest = r.tokens.size() - static_cast<std::size_t>(pos_[i]);
+    n.tokens += rest;
+    longest = std::max(longest, rest);
   }
-  pos_ = depth;
-  // Restore stored logits only when they correspond to this exact depth
-  // for every row; a shallower resume recomputes them at the next step.
-  bool full = true;
-  for (const KvState* s : states)
-    full = full && s->len == depth &&
-           static_cast<Index>(s->logits.size()) == c.vocab;
-  if (full) {
-    for (Index i = 0; i < batch_; ++i)
-      std::memcpy(logits_.data() + i * c.vocab,
-                  states[static_cast<std::size_t>(i)]->logits.data(),
-                  static_cast<std::size_t>(c.vocab) * sizeof(float));
+  feed_.resize(rows.size());
+  for (std::size_t t = 0; t < longest; ++t) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto p = static_cast<std::size_t>(pos_[i]);
+      feed_[i] = p < rows[i].tokens.size() ? rows[i].tokens[p] : kIdle;
+    }
+    step(feed_);
   }
-  logits_ready_ = full;
-  kv_cache_metrics().prefill_saved.inc(
-      static_cast<std::uint64_t>(depth * batch_));
+  KvCacheMetrics& kv = kv_cache_metrics();
+  kv.prefill_tokens.inc(n.tokens);
+  kv.prefill_saved.inc(n.saved);
+  return n;
 }
 
 std::span<const float> InferenceSession::prime(std::span<const int> prefix) {
@@ -322,10 +358,17 @@ std::span<const float> InferenceSession::prime(std::span<const int> prefix) {
 }
 
 std::span<const float> InferenceSession::logits_row(Index i) const {
-  PPG_DCHECK(logits_ready_,
-             "logits_row read before a step() or full-depth resume");
+  PPG_DCHECK(i >= 0 && i < batch_ && ready_[static_cast<std::size_t>(i)],
+             "logits_row(%d) read before the row consumed a token",
+             static_cast<int>(i));
   const Index v = model_->config().vocab;
   return {logits_.data() + i * v, static_cast<std::size_t>(v)};
+}
+
+Index InferenceSession::position(Index row) const {
+  PPG_DCHECK(row >= 0 && row < batch_, "position(%d) of a %d-row batch",
+             static_cast<int>(row), static_cast<int>(batch_));
+  return pos_[static_cast<std::size_t>(row)];
 }
 
 std::vector<float> next_token_distribution(const GptModel& model,

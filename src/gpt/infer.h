@@ -3,11 +3,15 @@
 // Training goes through nn::Graph; generation volume (millions of guesses)
 // demands a fast path: this session keeps key/value caches per layer so each
 // new token costs O(d² + pos·d) per sequence, processes a whole batch of
-// sequences in lockstep (one GEMM per projection), and allocates all
-// buffers once at reset.
+// sequences per step (one GEMM per projection over the rows fed), and
+// allocates all buffers once at reset.
 //
-// All sequences in a session advance together (same position). Callers that
-// need ragged prefixes group them by length (see D&C-GEN's divider).
+// Every row owns a [context, d_model] KV slot and its own position, so rows
+// of one batch may sit at different depths: a row can start fresh, resume
+// from any KvState, or sit a step out (InferenceSession::kIdle) with no
+// compute while keeping its position and logits. A row's floats never
+// depend on which other rows share its step (see kv_cache.h), which is
+// what lets prefill() and the sampler's decode loop mix rows freely.
 #pragma once
 
 #include <span>
@@ -30,10 +34,29 @@ constexpr const char* precision_name(Precision p) noexcept {
   return p == Precision::kInt8 ? "int8" : "fp32";
 }
 
+/// One row of InferenceSession::prefill(): the tokens the row must have
+/// consumed, and optionally a snapshot of a leading part of them to restore
+/// instead of recomputing (state->len <= tokens.size()). The snapshot only
+/// needs to outlive the prefill() call.
+struct PrefillRow {
+  std::span<const int> tokens;
+  const KvState* state = nullptr;
+};
+
+/// Positions one prefill() call restored and stepped (its prefill ledger).
+struct PrefillCounts {
+  std::size_t tokens = 0;  ///< positions fed through step()
+  std::size_t saved = 0;   ///< positions restored from snapshots
+};
+
 /// Batched incremental decoder over a GptModel's weights.
 /// The model must outlive the session.
 class InferenceSession {
  public:
+  /// step() token for a row that sits the step out: nothing is computed for
+  /// it, and its position and logits stay as they were.
+  static constexpr int kIdle = -1;
+
   /// Binds to a model. Buffers are sized lazily at reset(). The model's
   /// derived weight view for `precision` (GptModel::packed() or
   /// quantized()) is built or reused immediately, so its one-time cost
@@ -41,52 +64,55 @@ class InferenceSession {
   explicit InferenceSession(const GptModel& model,
                             Precision precision = Precision::kFp32);
 
-  /// Starts `batch` fresh sequences at position 0. Buffers are reused when
-  /// `batch` fits the largest batch this session has seen, so schedulers
-  /// whose tail batches shrink (D&C-GEN, the serve layer) pay no
+  /// Starts `batch` fresh rows at position 0, with no logits. Buffers are
+  /// reused when `batch` fits the largest batch this session has seen, so
+  /// schedulers whose tail batches shrink (D&C-GEN, the serve layer) pay no
   /// reallocation; only a growing batch allocates. Re-binds the model's
   /// weight view too, so a session kept across a weight change
   /// (GptModel::load, train_lm) decodes the new weights from here on.
   void reset(Index batch);
 
-  /// Feeds one token per sequence (tokens.size() == batch()) and returns
-  /// the next-token logits, row-major [batch, vocab]. The returned span is
-  /// valid until the next step()/reset(). Throws when the context window
-  /// is exhausted.
+  /// Puts row `row` on `state`: its K/V for positions [0, state.len) and,
+  /// when the state carries them, the logits after them — bitwise
+  /// equivalent to stepping the snapshotted tokens on this row (per-row
+  /// float op order is batch invariant; see kv_cache.h). Other rows are
+  /// untouched.
+  void resume(Index row, const KvState& state);
+
+  /// Resets to rows.size() rows and brings every row to the end of its
+  /// tokens: restores its state's positions, then steps the rest, each row
+  /// at its own position (a row that is done sits out). A row whose state
+  /// covers all of its tokens gets the state's logits with no step.
+  /// Afterwards logits_row(i) is the next-token distribution after row i's
+  /// tokens. Throws std::invalid_argument for a row with no tokens or a
+  /// state deeper than its tokens. Adds both counts to the kv_cache
+  /// prefill ledger.
+  PrefillCounts prefill(std::span<const PrefillRow> rows);
+
+  /// Feeds one token per row (tokens.size() == batch()); a row fed kIdle
+  /// sits the step out. Each fed row advances its own position by one.
+  /// Returns the next-token logits, row-major [batch, vocab]; rows that sat
+  /// out keep theirs. The span is valid until the next step()/reset().
+  /// Throws when a fed row's context window is exhausted.
   std::span<const float> step(std::span<const int> tokens);
 
-  /// Feeds a shared prefix to every sequence; returns the logits after its
-  /// last token. Equivalent to step() per prefix token with the same token
+  /// Feeds a shared prefix to every row; returns the logits after its last
+  /// token. Equivalent to step() per prefix token with the same token
   /// broadcast across the batch.
   std::span<const float> prime(std::span<const int> prefix);
 
-  /// Forks sequence `row` out of this session: copies its per-layer KV
-  /// blocks for positions [0, position()) and its current logits row into
-  /// a standalone KvState. Requires at least one step taken.
+  /// Forks row `row` out of this session: copies its per-layer KV blocks
+  /// for positions [0, position(row)) and its current logits row into a
+  /// standalone KvState. Requires the row to have consumed a token.
   KvState snapshot(Index row) const;
 
-  /// Starts `batch` fresh sequences that all resume from `state`'s first
-  /// `depth` positions — bitwise equivalent to reset(batch) followed by
-  /// stepping the snapshotted prefix (per-sequence float op order is batch
-  /// invariant; see kv_cache.h). When depth == state.len the stored
-  /// logits are restored too, so logits_row() is immediately valid;
-  /// resuming shallower requires a step() before reading logits.
-  void resume(const KvState& state, Index batch);
-  void resume(const KvState& state, Index batch, Index depth);
-
-  /// Per-row resume at a uniform depth: sequence i resumes from
-  /// states[i]'s first `depth` positions (requires depth <= states[i]->len
-  /// for every i; entries must be non-null). Logits are valid only when
-  /// every state's len equals `depth` exactly.
-  void resume_rows(std::span<const KvState* const> states, Index depth);
-
-  /// Logits row for sequence `i` from the last step.
+  /// Logits row for row `i` after the last token it consumed.
   std::span<const float> logits_row(Index i) const;
 
-  /// Next position to be fed (0 after reset).
-  Index position() const noexcept { return pos_; }
+  /// Next position row `row` will be fed (0 after reset).
+  Index position(Index row) const;
 
-  /// Number of sequences in the current batch.
+  /// Number of rows in the current batch.
   Index batch() const noexcept { return batch_; }
 
   const Config& config() const noexcept { return model_->config(); }
@@ -98,16 +124,18 @@ class InferenceSession {
   /// Points the session at the model's current view for precision_.
   void bind_weights();
 
-  /// The layers, final layernorm and lm_head of one step over views `w`.
+  /// The layers, final layernorm and lm_head of one step over views `w`,
+  /// for the rows in live_ (activation row j is session row live_[j]);
+  /// writes their logits to `logits`, compact [live_.size(), vocab].
   template <class M>
-  void forward(const DerivedWeights<M>& w);
+  void forward(const DerivedWeights<M>& w, float* logits);
 
-  /// y[batch,n] = x[batch,k]·W + bias for one Linear, by the layout of W:
-  /// the column-panel fp32 kernel, or quantize-activations + int8 GEMM +
-  /// dequant.
-  void project(const nn::PackedMatrix& w, const float* x, const float* bias,
-               float* y);
-  void project(const nn::quant::QuantizedMatrix& w, const float* x,
+  /// y[m,n] = x[m,k]·W + bias for one Linear over m activation rows, by the
+  /// layout of W: the column-panel fp32 kernel, or quantize-activations +
+  /// int8 GEMM + dequant.
+  void project(const nn::PackedMatrix& w, Index m, const float* x,
+               const float* bias, float* y);
+  void project(const nn::quant::QuantizedMatrix& w, Index m, const float* x,
                const float* bias, float* y);
 
   const GptModel* model_;
@@ -117,15 +145,21 @@ class InferenceSession {
   std::shared_ptr<const QuantizedWeights> qweights_;
   Index batch_ = 0;
   Index capacity_ = 0;  ///< largest batch the buffers are sized for
-  Index pos_ = 0;
-  /// Whether logits_ holds the current position's rows (set by step() and
-  /// full-depth resume; cleared by reset() and partial resume).
-  bool logits_ready_ = false;
-  // Per layer: K and V caches, [batch, context, d_model] flattened.
+  /// Per row: next position to feed, and whether logits_ holds its logits
+  /// (set by step() and by resuming a state that carries logits).
+  std::vector<Index> pos_;
+  std::vector<char> ready_;
+  /// Rows fed by the current step, ascending.
+  std::vector<Index> live_;
+  // Per layer: K and V caches, [batch, context, d_model] flattened; row i
+  // owns the [context, d_model] slot at offset i * context * d_model.
   std::vector<std::vector<float>> kcache_, vcache_;
-  // Scratch buffers reused across steps.
-  std::vector<float> x_, h_, qkv_, att_, ff_, logits_;
+  // Scratch buffers reused across steps, indexed by activation row.
+  std::vector<float> x_, h_, qkv_, att_, ff_;
+  std::vector<float> logits_;      ///< [batch, vocab], by session row
+  std::vector<float> step_logits_; ///< compact logits when rows sit out
   std::vector<float> scores_;  ///< attention-score scratch, one row
+  std::vector<int> feed_;      ///< prefill()'s per-step tokens
   // Int8 activation scratch (kInt8 only): quantized rows + their scales.
   std::vector<std::int8_t> qx_;
   std::vector<float> qs_;

@@ -12,8 +12,9 @@
 //
 //  * KvState is one sequence's immutable per-layer K/V blocks for
 //    positions [0, len) plus the logits after token len-1 — everything a
-//    session needs to continue decoding as if it had stepped the prefix
-//    itself (InferenceSession::resume / resume_rows).
+//    session row needs to continue decoding as if it had stepped the
+//    prefix itself (InferenceSession::resume, which prefill() applies to
+//    each row at its own depth).
 //  * KvTrieCache is a trie over token ids whose nodes own KvStates,
 //    ref-counted by RAII Handles (a pinned node is never evicted) with
 //    LRU eviction of unpinned nodes under a byte budget.
@@ -22,10 +23,13 @@
 // identical to re-priming the same prefix, because per-sequence float op
 // order is invariant to batch geometry (kernels.h gemm_nn accumulates
 // each output element in the same p-order in the 4-row-blocked and
-// remainder paths; layernorm, attention, and GELU are per-row). A cache
-// hit therefore changes *where* the floats come from, never their values
-// — the differential suite in tests/kv_cache_test.cpp locks this down
-// across thread counts and eviction-forcing budgets.
+// remainder paths; layernorm, attention, and GELU are per-row). That holds
+// for which rows share a step, their positions, and rows sitting a step
+// out, so ragged batches decode each row exactly as it would run alone. A
+// cache hit therefore changes *where* the floats come from, never their
+// values — the differential suite in tests/kv_cache_test.cpp locks this
+// down across thread counts and eviction-forcing budgets, and
+// tests/decode_golden_test.cpp pins the sampled outputs themselves.
 //
 // Thread safety: all member functions are safe to call concurrently; the
 // store takes one mutex per operation (trivial next to a model forward).
@@ -157,8 +161,8 @@ class KvTrieCache {
 
 /// Process-wide KV-cache metrics ("kv_cache.*" in the global registry):
 /// hit/miss/insert/eviction counters, resident- and evicted-bytes, and the
-/// prefill ledger (token positions computed by prime loops vs skipped by
-/// resuming) that bench_kv_cache reports. Registered once; updates are the
+/// prefill ledger (token positions InferenceSession::prefill computed vs
+/// restored) that bench_kv_cache reports. Registered once; updates are the
 /// registry's lock-free fast path.
 struct KvCacheMetrics {
   obs::Counter& hits;
@@ -167,9 +171,9 @@ struct KvCacheMetrics {
   obs::Counter& evictions;
   obs::Counter& evicted_bytes;
   obs::Gauge& bytes;
-  /// Prefill positions actually fed through step() by prime loops.
+  /// Prefill positions actually fed through step() by prefill().
   obs::Counter& prefill_tokens;
-  /// Prefill positions skipped because resume() restored them.
+  /// Prefill positions prefill() restored from snapshots instead.
   obs::Counter& prefill_saved;
 };
 KvCacheMetrics& kv_cache_metrics();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "tokenizer/tokenizer.h"
 
@@ -57,6 +58,44 @@ int sample_from_logits(std::span<const float> logits, Rng& rng,
   return items.back().second;
 }
 
+void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
+                 const SampleOptions& opts, const RowDone& done) {
+  const Index context = session.config().context;
+  std::vector<std::vector<int>> generated(rows.size());
+  std::vector<char> finished(rows.size(), 0);
+  std::vector<int> feed(rows.size());
+  std::vector<float> logits(static_cast<std::size_t>(session.config().vocab));
+  for (std::size_t alive = rows.size(); alive > 0;) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      feed[i] = InferenceSession::kIdle;
+      if (finished[i]) continue;
+      const Index pos = session.position(static_cast<Index>(i));
+      std::vector<int>& out = generated[i];
+      int tok_id = -1;  // a full context window draws nothing
+      if (pos < context) {
+        const auto row = session.logits_row(static_cast<Index>(i));
+        std::copy(row.begin(), row.end(), logits.begin());
+        const LogitMask* mask = rows[i].mask;
+        if (mask != nullptr && *mask)
+          (*mask)(static_cast<Index>(out.size()), logits);
+        tok_id = sample_from_logits(logits, *rows[i].rng, opts);
+      }
+      if (tok_id >= 0) out.push_back(tok_id);
+      // Finished on <EOS>, on a fully masked row (the caller's decode
+      // rejects structurally bad sequences), or when the drawn token would
+      // take the last position, whose logits nothing reads.
+      if (tok_id < 0 || tok_id == tok::Tokenizer::kEos || pos + 1 >= context) {
+        finished[i] = 1;
+        --alive;
+        done(i, out);
+      } else {
+        feed[i] = tok_id;
+      }
+    }
+    if (alive > 0) session.step(feed);
+  }
+}
+
 std::vector<std::string> sample_passwords(const GptModel& model,
                                           std::span<const int> prefix,
                                           std::size_t count, Rng& rng,
@@ -69,74 +108,31 @@ std::vector<std::string> sample_passwords(const GptModel& model,
   if (count == 0) return out;
   SampleStats local;
   InferenceSession session(model, opts.precision);
-  const Index max_new =
-      model.config().context - static_cast<Index>(prefix.size());
-  std::vector<float> row(static_cast<std::size_t>(model.config().vocab));
   const std::size_t attempt_budget =
       count * static_cast<std::size_t>(std::max(opts.max_attempt_factor, 1));
+  std::vector<int> full(prefix.begin(), prefix.end());
+  std::vector<std::optional<std::string>> decoded;
 
   while (out.size() < count && local.sequences_run < attempt_budget) {
-    const Index n = static_cast<Index>(std::min<std::size_t>(
-        static_cast<std::size_t>(opts.batch_size), count - out.size()));
-    local.sequences_run += static_cast<std::size_t>(n);
-    const Index depth =
-        resume == nullptr
-            ? 0
-            : std::min(resume->len, static_cast<Index>(prefix.size()));
-    if (depth > 0) {
-      session.resume(*resume, n, depth);
-      if (static_cast<std::size_t>(depth) < prefix.size())
-        session.prime(prefix.subspan(static_cast<std::size_t>(depth)));
-    } else {
-      session.reset(n);
-      session.prime(prefix);
-    }
-    const std::size_t primed =
-        (prefix.size() - static_cast<std::size_t>(depth)) *
-        static_cast<std::size_t>(n);
-    local.prefill_tokens += primed;
-    local.prefill_saved +=
-        static_cast<std::size_t>(depth) * static_cast<std::size_t>(n);
-    kv_cache_metrics().prefill_tokens.inc(primed);
-    std::vector<std::vector<int>> generated(static_cast<std::size_t>(n));
-    std::vector<bool> active(static_cast<std::size_t>(n), true);
-    std::vector<int> next(static_cast<std::size_t>(n), tok::Tokenizer::kPad);
-    Index alive = n;
-    for (Index step = 0; step < max_new && alive > 0; ++step) {
-      for (Index i = 0; i < n; ++i) {
-        if (!active[static_cast<std::size_t>(i)]) {
-          next[static_cast<std::size_t>(i)] = tok::Tokenizer::kPad;
-          continue;
-        }
-        const auto logits = session.logits_row(i);
-        std::copy(logits.begin(), logits.end(), row.begin());
-        if (mask) mask(step, row);
-        const int tok_id = sample_from_logits(row, rng, opts);
-        if (tok_id < 0 || tok_id == tok::Tokenizer::kEos) {
-          // Sequence finished (or fully masked -> finished-invalid; the
-          // decode below rejects structurally bad sequences).
-          if (tok_id == tok::Tokenizer::kEos)
-            generated[static_cast<std::size_t>(i)].push_back(tok_id);
-          active[static_cast<std::size_t>(i)] = false;
-          --alive;
-          next[static_cast<std::size_t>(i)] = tok::Tokenizer::kPad;
-          continue;
-        }
-        generated[static_cast<std::size_t>(i)].push_back(tok_id);
-        next[static_cast<std::size_t>(i)] = tok_id;
-      }
-      if (alive > 0 && session.position() < model.config().context)
-        session.step(next);
-      else
-        break;
-    }
-    for (Index i = 0; i < n && out.size() < count; ++i) {
-      std::vector<int> full(prefix.begin(), prefix.end());
-      full.insert(full.end(), generated[static_cast<std::size_t>(i)].begin(),
-                  generated[static_cast<std::size_t>(i)].end());
-      const auto pw = tok::Tokenizer::decode_password(full);
-      if (pw.has_value() && !pw->empty())
-        out.push_back(*pw);
+    const std::size_t n = std::min<std::size_t>(
+        static_cast<std::size_t>(opts.batch_size), count - out.size());
+    local.sequences_run += n;
+    const std::vector<PrefillRow> starts(n, PrefillRow{prefix, resume});
+    const PrefillCounts primed = session.prefill(starts);
+    local.prefill_tokens += primed.tokens;
+    local.prefill_saved += primed.saved;
+    decoded.assign(n, std::nullopt);
+    const std::vector<SampleRow> draws(n, SampleRow{&mask, &rng});
+    sample_rows(session, draws, opts,
+                [&](std::size_t i, std::span<const int> generated) {
+                  full.resize(prefix.size());
+                  full.insert(full.end(), generated.begin(), generated.end());
+                  decoded[i] = tok::Tokenizer::decode_password(full);
+                });
+    // Keep rows in index order, whatever order they finished in.
+    for (std::size_t i = 0; i < n && out.size() < count; ++i) {
+      if (decoded[i].has_value() && !decoded[i]->empty())
+        out.push_back(std::move(*decoded[i]));
       else
         ++local.invalid;
     }

@@ -1,15 +1,21 @@
 // Batched autoregressive password sampling on top of InferenceSession.
 //
-// One sampler serves every GPT-based scheme in the repo:
+// One decode loop serves every sampled path in the repo: sample_rows()
+// draws each session row's tokens until it finishes and retires it at
+// once, and its callers only say where rows start (InferenceSession::
+// prefill) and what to do with a finished row. The schemes it covers:
 //  * PagPassGPT pattern-guided: prefix = <BOS> pattern <SEP>, no mask;
 //  * PagPassGPT free-running:   prefix = <BOS>, no mask (the model emits
 //    pattern, <SEP>, password, <EOS> on its own — paper §IV-D);
 //  * PassGPT guided filtering:  prefix = <BOS>, mask = pattern filter that
 //    zeroes tokens violating the target pattern at each step (§I-A1);
 //  * D&C-GEN leaf tasks:        prefix = task prefix, mask = pattern filter
-//    from the task's pattern suffix.
+//    from the task's pattern suffix;
+//  * served requests:           one row per requested guess, each with its
+//    own prefix, mask and RNG stream (src/serve).
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <span>
 #include <string>
@@ -27,7 +33,7 @@ struct SampleOptions {
   int top_k = 0;
   /// Nucleus sampling mass (1.0 = disabled).
   double top_p = 1.0;
-  /// Sequences decoded per InferenceSession batch.
+  /// Sequences decoded per InferenceSession batch (sample_passwords).
   Index batch_size = 64;
   /// Give up after count*max_attempt_factor sequences when the model keeps
   /// producing undecodable output (unfinished / malformed rules).
@@ -54,6 +60,26 @@ struct SampleStats {
 /// to a very negative value (e.g. -1e30f) to forbid a token.
 using LogitMask = std::function<void(Index step, std::span<float> logits)>;
 
+/// How sample_rows() draws one row's tokens.
+struct SampleRow {
+  const LogitMask* mask = nullptr;  ///< null or empty: unmasked
+  Rng* rng = nullptr;  ///< may be shared: rows draw in index order per step
+};
+
+/// Called once per row as it finishes, with the tokens it generated (ending
+/// in <EOS> when it drew one). The span is valid only during the call.
+using RowDone = std::function<void(std::size_t row, std::span<const int>)>;
+
+/// The decode loop: samples every session row from its current logits
+/// (e.g. after InferenceSession::prefill) until it draws <EOS>, has every
+/// token masked out, or fills the context window. Each step visits the
+/// unfinished rows in index order — mask with the row's step count, draw —
+/// then feeds the drawn tokens in one session step, so rows sharing one Rng
+/// draw from it step by step, rows by index. A finished row is handed to
+/// `done` at once and sits out every later step.
+void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
+                 const SampleOptions& opts, const RowDone& done);
+
 /// Generates `count` decoded passwords continuing `prefix`. Returned
 /// strings may repeat — deduplication is the caller's concern (that is the
 /// paper's repeat-rate phenomenon). Undecodable sequences are replaced by
@@ -62,8 +88,9 @@ using LogitMask = std::function<void(Index step, std::span<float> logits)>;
 /// When `resume` covers a leading part of `prefix` (resume->len <=
 /// prefix.size()), every batch restores those positions from the snapshot
 /// and primes only the remainder — bitwise identical to priming the whole
-/// prefix (see kv_cache.h), just cheaper. The snapshot must stay alive
-/// (e.g. a pinned KvTrieCache::Handle) for the duration of the call.
+/// prefix (see kv_cache.h), just cheaper. A deeper snapshot throws
+/// std::invalid_argument. The snapshot must stay alive (e.g. a pinned
+/// KvTrieCache::Handle) for the duration of the call.
 std::vector<std::string> sample_passwords(const GptModel& model,
                                           std::span<const int> prefix,
                                           std::size_t count, Rng& rng,

@@ -139,25 +139,16 @@ OrderedEnumerator::Node OrderedEnumerator::pop_node() {
   return n;
 }
 
+void OrderedEnumerator::prefill(std::span<const int> tokens,
+                                const gpt::KvState* state) {
+  const gpt::PrefillRow row{tokens, state};
+  const gpt::PrefillCounts n = session_.prefill({&row, 1});
+  stats_.prefill_tokens += n.tokens;
+  stats_.prefill_saved += n.saved;
+}
+
 void OrderedEnumerator::expand_root() {
-  const Index depth =
-      resume_ ? std::min<Index>(resume_->len,
-                                static_cast<Index>(prefix_.size()))
-              : 0;
-  if (resume_ && depth > 0) {
-    PPG_CHECK(resume_->len <= static_cast<Index>(prefix_.size()),
-              "resume snapshot (%d) deeper than prefix (%zu)",
-              static_cast<int>(resume_->len), prefix_.size());
-    session_.resume(*resume_, 1, depth);
-  } else {
-    session_.reset(1);
-  }
-  stats_.prefill_saved += static_cast<std::size_t>(depth);
-  for (std::size_t i = depth; i < prefix_.size(); ++i) {
-    int t = prefix_[i];
-    session_.step(std::span<const int>(&t, 1));
-    ++stats_.prefill_tokens;
-  }
+  prefill(prefix_, resume_);
   resume_ = nullptr;  // never needed again
   gpt::KvState root = session_.snapshot(0);
   std::span<const float> logits = session_.logits_row(0);
@@ -167,45 +158,30 @@ void OrderedEnumerator::expand_root() {
 
 void OrderedEnumerator::expand(const Node& node) {
   obs::Span span("search/expand", "search");
-  const std::vector<int>& seq = seq_;
-  const Index parent_len = static_cast<Index>(seq.size()) - 1;
-  const gpt::KvTrieCache::Handle& pin = parents_[node.parent].pin;
-  // The final step() of seq.back() is the scoring forward pass every
-  // expansion pays regardless of caching; the prefill ledger counts only
-  // the positions *before* it — restored by resume (saved) or re-fed
-  // because a snapshot was evicted (tokens).
-  if (pin && pin.len() == parent_len) {
-    session_.resume(*pin.state(), 1, parent_len);
-    stats_.prefill_saved += static_cast<std::size_t>(parent_len);
-    int t = seq.back();
-    session_.step(std::span<const int>(&t, 1));
-  } else {
-    // The parent snapshot was evicted before its record could pin it (tiny
-    // byte budgets). Re-derive from the deepest surviving ancestor —
-    // bitwise identical to the resume path by the kv_cache contract.
-    auto hit = cache_.find_longest(seq);
-    const Index depth = hit ? std::min(hit.len(), parent_len) : 0;
-    if (hit) {
-      session_.resume(*hit.state(), 1, depth);
-    } else {
-      session_.reset(1);
-    }
-    stats_.prefill_saved += static_cast<std::size_t>(depth);
-    stats_.prefill_tokens +=
-        static_cast<std::size_t>(parent_len) - static_cast<std::size_t>(depth);
-    for (std::size_t i = static_cast<std::size_t>(depth); i < seq.size();
-         ++i) {
-      int t = seq[i];
-      session_.step(std::span<const int>(&t, 1));
-    }
+  const std::span<const int> parent_seq(seq_.data(), seq_.size() - 1);
+  // Resume from the parent's pinned snapshot. When it was evicted before
+  // its record could pin it (tiny byte budgets), re-derive the parent from
+  // its deepest surviving ancestor instead — bitwise identical by the
+  // kv_cache contract.
+  gpt::KvTrieCache::Handle hit;
+  const gpt::KvState* state = parents_[node.parent].pin.state();
+  if (state == nullptr) {
+    hit = cache_.find_longest(parent_seq);
+    state = hit.state();
   }
+  prefill(parent_seq, state);
+  // The scoring step every expansion pays regardless of caching; the
+  // prefill ledger counts only the positions before it.
+  const int last = seq_.back();
+  session_.step(std::span<const int>(&last, 1));
+  hit.release();
   release_parent(node.parent);
   ++stats_.nodes_expanded;
   search_metrics().nodes_expanded.inc();
-  gpt::KvState state = session_.snapshot(0);
+  gpt::KvState state_after = session_.snapshot(0);
   std::span<const float> logits = session_.logits_row(0);
-  cache_.insert(seq, std::move(state));
-  push_children(new_parent(seq), node.logp, logits);
+  cache_.insert(seq_, std::move(state_after));
+  push_children(new_parent(seq_), node.logp, logits);
 }
 
 void OrderedEnumerator::push_children(std::uint32_t parent, double logp,

@@ -123,7 +123,8 @@ void masked_log_probs(std::span<const float> logits, std::vector<double>& out);
 /// context. `mask` follows the sampler's LogitMask contract (step counts
 /// tokens generated after the prefix). When `resume` covers a leading part
 /// of the prefix (resume->len <= prefix.size()), the root expansion
-/// restores those positions instead of re-priming them; the snapshot must
+/// restores those positions instead of re-priming them (a deeper snapshot
+/// makes the first next() throw std::invalid_argument); the snapshot must
 /// stay alive until the first next() call returns.
 ///
 /// The model must outlive the enumerator. Not thread-safe; use one
@@ -180,6 +181,9 @@ class OrderedEnumerator {
   /// through the parent records without building either.
   bool sequence_less(const Node& a, const Node& b) const noexcept;
 
+  /// Brings the session's one row to the end of `tokens`, resuming from
+  /// `state` (may be null), and adds the work to the prefill ledger.
+  void prefill(std::span<const int> tokens, const gpt::KvState* state);
   void expand_root();
   /// Expands the node just popped, whose full sequence is in seq_.
   void expand(const Node& node);

@@ -1,7 +1,6 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -323,7 +322,7 @@ void GuessService::assemble_batch_locked(std::vector<RowRef>& rows) {
     }
     break;
   }
-  if (queue_.empty() || rows.size() >= cfg_.max_batch) {
+  if (queue_.empty()) {
     ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
     return;
   }
@@ -345,29 +344,16 @@ void GuessService::assemble_batch_locked(std::vector<RowRef>& rows) {
     if (p->first_schedule_us < 0) p->first_schedule_us = now;
   };
 
+  // The front request opens the batch.
   auto it = queue_.begin();
-  std::size_t len;
-  if (rows.empty()) {
-    // Fresh batch: the front request sets the batch's prefix length.
-    len = (*it)->prefix.size();
-    const bool ordered = (*it)->ordered;
-    take(*it);
-    it = (*it)->unassigned == 0 ? ((*it)->in_queue = false, queue_.erase(it))
-                                : std::next(it);
-    if (ordered) {
-      // An ordered enumeration owns its worker outright: it is not a
-      // lockstep row, so nothing may coalesce with it (and the formation
-      // window is skipped — see worker_loop).
-      ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
-      return;
-    }
-  } else {
-    // Top-up after a formation-window wait: only matching lengths join.
-    len = rows[0].req->prefix.size();
-  }
-  if (cfg_.batching) {
-    // Coalesce further requests with the same prefix length (lockstep
-    // compatibility) until the batch is full.
+  const bool ordered = (*it)->ordered;
+  take(*it);
+  it = (*it)->unassigned == 0 ? ((*it)->in_queue = false, queue_.erase(it))
+                              : std::next(it);
+  if (cfg_.batching && !ordered) {
+    // Any further sampled request joins until the batch is full: rows keep
+    // their own positions, so prefix lengths need not match. An ordered
+    // enumeration owns its worker outright and never shares a batch.
     while (it != queue_.end() && rows.size() < cfg_.max_batch) {
       auto& p = *it;
       if (p->done) {
@@ -381,7 +367,7 @@ void GuessService::assemble_batch_locked(std::vector<RowRef>& rows) {
         it = queue_.erase(it);
         continue;
       }
-      if (p->ordered || p->prefix.size() != len) {
+      if (p->ordered) {
         ++it;
         continue;
       }
@@ -460,134 +446,75 @@ void GuessService::execute_batch(gpt::InferenceSession& session,
   if (obs::timing_enabled())
     m.batch_rows.observe(static_cast<double>(rows.size()));
 
-  const auto& c = model_.config();
-  const auto n = static_cast<gpt::Index>(rows.size());
-  const std::size_t len = rows[0].req->prefix.size();
-#if defined(PPG_ENABLE_DCHECKS)
-  // Lockstep decoding requires a shape-homogeneous batch; a mixed batch
-  // would feed one request's pattern tokens into another's rows.
-  for (const RowRef& r : rows)
-    PPG_DCHECK(r.req->prefix.size() == len,
-               "mixed prefix lengths in one batch (%zu vs %zu)",
-               r.req->prefix.size(), len);
-#endif
-  // Prefill, resuming from the prefix cache where possible. Rows of one
-  // request are adjacent in the batch, so one lookup per request covers
-  // its whole row run. The batch resumes at the *shallowest* per-row hit
-  // depth (lockstep sessions share one position); an exact full-prefix
-  // hit on every row skips prefill entirely — resume_rows restores the
-  // stored logits. Handles stay live past the insert below so pinned
-  // states cannot be evicted mid-use.
-  std::size_t depth = 0;
-  std::vector<gpt::KvTrieCache::Handle> handles;  ///< one per distinct request
-  std::vector<const gpt::KvState*> states;        ///< one per row
-  if (prefix_cache_) {
-    depth = len;
-    states.reserve(rows.size());
-    const Pending* prev = nullptr;
-    for (const RowRef& r : rows) {
-      if (r.req.get() != prev) {
-        prev = r.req.get();
-        handles.push_back(prefix_cache_->find_longest(r.req->prefix));
-        depth = std::min(depth, static_cast<std::size_t>(handles.back().len()));
-      }
-      states.push_back(handles.back().state());
+  // Prefill, every row from its own request's deepest cached prefix (rows
+  // of one request are adjacent, so one lookup per request covers its
+  // run); an exact full-prefix hit skips that row's prefill entirely. The
+  // handles pin the states until the inserts below are done.
+  std::vector<std::size_t> firsts;  ///< each distinct request's first row
+  std::vector<gpt::KvTrieCache::Handle> handles;  ///< parallel to firsts
+  std::vector<gpt::PrefillRow> starts(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Pending& p = *rows[i].req;
+    if (i == 0 || rows[i - 1].req != rows[i].req) {
+      firsts.push_back(i);
+      if (prefix_cache_)
+        handles.push_back(prefix_cache_->find_longest(p.prefix));
     }
+    starts[i] = {p.prefix, handles.empty() ? nullptr : handles.back().state()};
   }
-  if (depth > 0) {
-    session.resume_rows(states, static_cast<gpt::Index>(depth));
-  } else {
-    session.reset(n);
+  session.prefill(starts);
+  // Memoise each request's post-prefix state unless it resumed from exactly
+  // that state, so future requests with the same prefix skip prefill.
+  for (std::size_t k = 0; k < handles.size(); ++k) {
+    const std::vector<int>& prefix = rows[firsts[k]].req->prefix;
+    if (handles[k].len() < static_cast<gpt::Index>(prefix.size()))
+      prefix_cache_->insert(
+          prefix, session.snapshot(static_cast<gpt::Index>(firsts[k])));
   }
-  std::vector<int> feed(rows.size());
-  for (std::size_t pos = depth; pos < len; ++pos) {
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      feed[i] = rows[i].req->prefix[pos];
-    session.step(feed);
-  }
-  gpt::kv_cache_metrics().prefill_tokens.inc((len - depth) * rows.size());
-  if (prefix_cache_ && depth < len) {
-    // Memoise the post-prefix state once per distinct request in the batch
-    // (first-insert-wins makes re-inserts of already-cached prefixes a
-    // no-op) so future requests with the same pattern prefix resume here.
-    const Pending* prev = nullptr;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].req.get() == prev) continue;
-      prev = rows[i].req.get();
-      prefix_cache_->insert(rows[i].req->prefix,
-                            session.snapshot(static_cast<gpt::Index>(i)));
-    }
-  }
+  handles.clear();
 
   // Per-row deterministic RNG streams: independent of batch composition,
   // worker count, and batching mode.
   std::vector<Rng> rngs;
   rngs.reserve(rows.size());
-  for (const RowRef& r : rows)
-    rngs.emplace_back(r.req->seed,
-                      "serve.row/" + std::to_string(r.row_index));
-
-  std::vector<std::vector<int>> generated(rows.size());
-  std::vector<char> active(rows.size(), 1);
-  std::vector<int> next(rows.size(), Tokenizer::kPad);
-  std::vector<float> row_logits(static_cast<std::size_t>(c.vocab));
-  gpt::Index alive = n;
-  const gpt::Index max_new = c.context - static_cast<gpt::Index>(len);
-  for (gpt::Index step = 0; step < max_new && alive > 0; ++step) {
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (!active[i]) {
-        next[i] = Tokenizer::kPad;
-        continue;
-      }
-      const auto logits = session.logits_row(static_cast<gpt::Index>(i));
-      std::copy(logits.begin(), logits.end(), row_logits.begin());
-      if (rows[i].req->mask) rows[i].req->mask(step, row_logits);
-      const int tok_id = sample_from_logits(row_logits, rngs[i], cfg_.sample);
-      if (tok_id < 0 || tok_id == Tokenizer::kEos) {
-        if (tok_id == Tokenizer::kEos) generated[i].push_back(tok_id);
-        active[i] = 0;
-        --alive;
-        next[i] = Tokenizer::kPad;
-        continue;
-      }
-      generated[i].push_back(tok_id);
-      next[i] = tok_id;
-    }
-    if (alive > 0 && session.position() < c.context)
-      session.step(next);
-    else
-      break;
+  std::vector<gpt::SampleRow> draws(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rngs.emplace_back(rows[i].req->seed,
+                      "serve.row/" + std::to_string(rows[i].row_index));
+    draws[i] = {&rows[i].req->mask, &rngs[i]};
   }
+  gpt::sample_rows(session, draws, cfg_.sample,
+                   [&](std::size_t i, std::span<const int> generated) {
+                     deliver(rows[i], generated);
+                   });
+}
 
-  // Deliver rows and complete finished requests.
+void GuessService::deliver(const RowRef& row, std::span<const int> generated) {
+  Pending& p = *row.req;
+  std::vector<int> full = p.prefix;
+  full.insert(full.end(), generated.begin(), generated.end());
+  auto pw = Tokenizer::decode_password(full);
   bool new_work = false;
   {
     MutexLock lock(mu_);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      Pending& p = *rows[i].req;
-      PPG_DCHECK(p.inflight > 0, "delivering a row the scheduler never issued");
-      --p.inflight;
-      if (p.done) continue;
-      std::vector<int> full = p.prefix;
-      full.insert(full.end(), generated[i].begin(), generated[i].end());
-      const auto pw = Tokenizer::decode_password(full);
-      if (pw.has_value() && !pw->empty()) {
-        p.resp.passwords.push_back(*pw);
-      } else {
-        ++p.resp.invalid;
-        if (p.retries_left > 0 && !stopping_) {
-          --p.retries_left;
-          ++p.unassigned;
-          if (!p.in_queue) {
-            queue_.push_back(rows[i].req);
-            p.in_queue = true;
-            new_work = true;
-          }
+    PPG_DCHECK(p.inflight > 0, "delivering a row the scheduler never issued");
+    --p.inflight;
+    if (p.done) return;
+    if (pw.has_value() && !pw->empty()) {
+      p.resp.passwords.push_back(std::move(*pw));
+    } else {
+      ++p.resp.invalid;
+      if (p.retries_left > 0 && !stopping_) {
+        --p.retries_left;
+        ++p.unassigned;
+        if (!p.in_queue) {
+          queue_.push_back(row.req);
+          p.in_queue = true;
+          new_work = true;
         }
       }
-      if (!p.done && p.unassigned == 0 && p.inflight == 0)
-        complete_locked(p, Status::kOk);
     }
+    if (p.unassigned == 0 && p.inflight == 0) complete_locked(p, Status::kOk);
   }
   if (new_work) work_cv_.notify_one();
 }
@@ -608,22 +535,6 @@ void GuessService::worker_loop(std::size_t index) {
         if (!rows.empty()) break;
         if (draining_ && queue_.empty()) return;
         work_cv_.wait(lock);
-      }
-      // Batch-formation window: hold a partial batch briefly so
-      // same-shape arrivals join it instead of convoying behind a full
-      // generation pass. Every wake-up (new submit, retry, shutdown)
-      // tops the batch up; a full batch or the deadline ends the wait.
-      if (cfg_.batching && cfg_.batch_window_us > 0 &&
-          rows.size() < cfg_.max_batch && !draining_ &&
-          !rows[0].req->ordered) {
-        const auto until = std::chrono::steady_clock::now() +
-                           std::chrono::microseconds(cfg_.batch_window_us);
-        while (rows.size() < cfg_.max_batch && !draining_) {
-          if (work_cv_.wait_until(lock, until) == std::cv_status::timeout)
-            break;
-          assemble_batch_locked(rows);
-        }
-        assemble_batch_locked(rows);
       }
     }
     PPG_DCHECK(rows.size() <= cfg_.max_batch, "batch of %zu exceeds max %zu",

@@ -6,10 +6,13 @@
 //  * bounded admission queue with explicit backpressure — submit() never
 //    blocks and never grows without bound; a full queue (or a draining
 //    service) rejects immediately with a reason;
-//  * dynamic batching — worker threads coalesce pending requests whose
-//    token prefixes have equal length into single lockstep
-//    InferenceSession batches (the same grouping D&C-GEN's divider uses),
-//    so sixteen count-1 requests cost one model call, not sixteen;
+//  * dynamic batching — a free worker takes every queued sampled request
+//    (up to max_batch rows) into one InferenceSession batch, whatever their
+//    prefix lengths: each row keeps its own position, so sixteen count-1
+//    requests cost one model call per step, not sixteen. There is no
+//    formation window — requests that queue while the workers are busy
+//    coalesce at the next batch — and each request completes as soon as
+//    its own rows finish, not when the batch does;
 //  * per-worker sessions — each worker owns one InferenceSession whose
 //    buffers persist across batches (reset() reuse keeps shrinking tail
 //    batches allocation-free);
@@ -20,15 +23,16 @@
 //    and joins the workers; every submitted request resolves its future
 //    exactly once;
 //  * cross-request prefix caching — a shared KvTrieCache keyed on the
-//    request's token prefix (pattern / pattern+chars). A batch whose rows
-//    all have a cached ancestor resumes from it instead of re-priming;
-//    an exact full-prefix hit skips prefill entirely. Responses are
-//    bitwise identical to a cold-cache run (see kv_cache.h).
+//    request's token prefix (pattern / pattern+chars). Each row resumes
+//    from its request's deepest cached ancestor instead of re-priming, at
+//    its own depth; an exact full-prefix hit skips that row's prefill
+//    entirely. Responses are bitwise identical to a cold-cache run (see
+//    kv_cache.h).
 //
 // Results are deterministic in (model, request): row r of a request draws
 // from Rng(seed, "serve.row/r"), so the same request returns the same
 // passwords whatever the batch composition, worker count, or batching
-// mode. Password *order* within a response follows batch completion order
+// mode. Password *order* within a response follows row completion order
 // and is only deterministic with a single worker.
 //
 // Observability: queue-depth gauge, admit/reject/timeout/complete
@@ -42,6 +46,7 @@
 #include <future>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,12 +132,6 @@ struct ServiceConfig {
   bool batching = true;
   /// Give up on a request after count*max_attempt_factor generation rows.
   int max_attempt_factor = 4;
-  /// Batch-formation window: a worker holding a partial batch waits up to
-  /// this long for same-shape arrivals before running it. Trades a little
-  /// head-of-line latency for occupancy — without it, a straggler that
-  /// misses a batch by a microsecond convoys behind a full generation
-  /// pass. 0 disables; ignored when batching is off.
-  std::int64_t batch_window_us = 2000;
   /// Sampling knobs for all requests (batch_size is ignored; the
   /// scheduler owns batch geometry). sample.precision selects the worker
   /// sessions' numeric substrate: kInt8 serves sampled guesses through
@@ -208,17 +207,22 @@ class GuessService {
 
   std::future<Response> reject(Request&& req, Reject why, std::string detail);
   void worker_loop(std::size_t worker_id);
-  /// Pops expired/finished requests and appends runnable rows to `rows`
-  /// (up to max_batch). When `rows` is non-empty it only tops up with
-  /// requests matching the batch's prefix length. Caller holds mu_.
+  /// Pops expired/finished requests and appends runnable rows to the empty
+  /// `rows`: the front request's, then (batching on, front not ordered)
+  /// any other sampled request's, up to max_batch. Caller holds mu_.
   void assemble_batch_locked(std::vector<RowRef>& rows) PPG_REQUIRES(mu_);
   /// Completes `p` with `s` now. Caller holds mu_.
   void complete_locked(Pending& p, Status s) PPG_REQUIRES(mu_);
-  /// Runs one assembled batch on `session` and delivers its rows.
+  /// Runs one assembled batch on `session`, delivering each row as it
+  /// finishes.
   void execute_batch(gpt::InferenceSession& session,
                      const std::vector<RowRef>& rows);
+  /// Hands one finished row's generated tokens to its request: a password,
+  /// or an invalid attempt that may be retried; completes the request when
+  /// it was its last row. Takes mu_.
+  void deliver(const RowRef& row, std::span<const int> generated);
   /// Runs one kOrdered request to completion (always a single-row batch;
-  /// ordered requests never coalesce with lockstep sampling rows).
+  /// ordered requests never share a batch with sampled rows).
   void execute_ordered(const RowRef& row);
 
   const gpt::GptModel& model_;

@@ -143,10 +143,70 @@ TEST(InferenceSession, ResetRestartsPosition) {
   s.reset(1);
   const int tok = 3;
   s.step(std::span<const int>(&tok, 1));
-  EXPECT_EQ(s.position(), 1);
+  EXPECT_EQ(s.position(0), 1);
   s.reset(4);
-  EXPECT_EQ(s.position(), 0);
+  EXPECT_EQ(s.position(0), 0);
   EXPECT_EQ(s.batch(), 4);
+}
+
+TEST(InferenceSession, RaggedRowsMatchSoloRuns) {
+  // Rows at different positions share steps, and a row fed kIdle sits the
+  // step out: every row's logits must equal those of the same sequence run
+  // alone, bitwise, and an idle row keeps its position and logits.
+  const GptModel m(Config::tiny(), 56);
+  const std::vector<std::vector<int>> seqs = {
+      {0, 41, 50, 7, 9}, {0, 99}, {0, 3, 5, 8}};
+  std::vector<std::vector<float>> solo(seqs.size());
+  for (std::size_t r = 0; r < seqs.size(); ++r) {
+    InferenceSession s(m);
+    s.reset(1);
+    for (const int t : seqs[r]) {
+      const auto l = s.step(std::span<const int>(&t, 1));
+      solo[r].assign(l.begin(), l.end());
+    }
+  }
+  // Row 1 starts two steps late and row 2 sits out step 2, so the rows
+  // run at three different positions and finish at different steps.
+  constexpr int x = InferenceSession::kIdle;
+  const std::vector<std::vector<int>> schedule = {
+      {0, x, 0}, {41, x, 3}, {50, 0, x}, {7, 99, 5}, {9, x, 8}};
+  InferenceSession ragged(m);
+  ragged.reset(3);
+  std::vector<std::size_t> fed(seqs.size(), 0);
+  for (const auto& tokens : schedule) {
+    std::vector<std::vector<float>> before(seqs.size());
+    for (std::size_t r = 0; r < seqs.size(); ++r)
+      if (fed[r] > 0) {
+        const auto l = ragged.logits_row(static_cast<Index>(r));
+        before[r].assign(l.begin(), l.end());
+      }
+    ragged.step(tokens);
+    for (std::size_t r = 0; r < seqs.size(); ++r) {
+      if (tokens[r] == InferenceSession::kIdle) {
+        if (fed[r] > 0) {
+          const auto l = ragged.logits_row(static_cast<Index>(r));
+          EXPECT_TRUE(std::equal(before[r].begin(), before[r].end(), l.begin()))
+              << "idle row " << r << " lost its logits";
+        }
+        continue;
+      }
+      ASSERT_EQ(tokens[r], seqs[r][fed[r]]);
+      ++fed[r];
+    }
+    for (std::size_t r = 0; r < seqs.size(); ++r)
+      EXPECT_EQ(ragged.position(static_cast<Index>(r)),
+                static_cast<Index>(fed[r]));
+  }
+  for (std::size_t r = 0; r < seqs.size(); ++r) {
+    ASSERT_EQ(fed[r], seqs[r].size());
+    const auto l = ragged.logits_row(static_cast<Index>(r));
+    EXPECT_TRUE(std::equal(solo[r].begin(), solo[r].end(), l.begin()))
+        << "row " << r;
+  }
+  // A step that feeds no row computes nothing and keeps every row.
+  const std::vector<int> idle(3, InferenceSession::kIdle);
+  ragged.step(idle);
+  EXPECT_EQ(ragged.position(1), 2);
 }
 
 TEST(InferenceSession, ShrinkingResetReusesBuffers) {

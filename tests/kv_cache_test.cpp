@@ -222,7 +222,8 @@ TEST(KvSessionResume, FullDepthResumeRestoresLogitsBitwise) {
   EXPECT_EQ(snap.len, static_cast<Index>(prefix.size()));
 
   InferenceSession resumed(model);
-  resumed.resume(snap, 3);  // fan one snapshot out to a 3-row batch
+  resumed.reset(3);  // fan one snapshot out to a 3-row batch
+  for (Index r = 0; r < 3; ++r) resumed.resume(r, snap);
   for (Index r = 0; r < 3; ++r) {
     const auto got = resumed.logits_row(r);
     EXPECT_TRUE(std::equal(ref_logits.begin(), ref_logits.end(), got.begin()))
@@ -239,7 +240,8 @@ TEST(KvSessionResume, ResumedStepMatchesPrimedStepBitwise) {
   KvState snap = ref.snapshot(1);
 
   InferenceSession resumed(model);
-  resumed.resume(snap, 2);
+  resumed.reset(2);
+  for (Index r = 0; r < 2; ++r) resumed.resume(r, snap);
   // Continue decoding the same token on both sessions: the KV restored
   // from the snapshot must behave exactly like the KV the session built.
   const std::vector<int> next = {prefix.back(), prefix.back()};
@@ -269,7 +271,8 @@ TEST(KvSessionResume, PartialDepthResumePlusPrimeMatchesFullPrime) {
   const KvState snap = half.snapshot(0);
 
   InferenceSession resumed(model);
-  resumed.resume(snap, 1);
+  resumed.reset(1);
+  resumed.resume(0, snap);
   resumed.prime(std::span<const int>(prefix).subspan(cut));
   const auto got = resumed.logits_row(0);
   EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
@@ -289,10 +292,18 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
   sb.reset(1);
   sb.prime(pb);
   const KvState snap_b = sb.snapshot(0);
+  // A shallower state: pa without its last two tokens.
+  const std::size_t cut = pa.size() - 2;
+  InferenceSession sc(model);
+  sc.reset(1);
+  sc.prime(std::span<const int>(pa).first(cut));
+  const KvState snap_c = sc.snapshot(0);
 
   const std::vector<const KvState*> states = {&snap_a, &snap_b, &snap_a};
   InferenceSession mixed(model);
-  mixed.resume_rows(states, static_cast<Index>(pa.size()));
+  mixed.reset(static_cast<Index>(states.size()));
+  for (std::size_t r = 0; r < states.size(); ++r)
+    mixed.resume(static_cast<Index>(r), *states[r]);
   const std::vector<int> next = {pa.back(), pb.back(), pa.back()};
   mixed.step(next);
   sa.step(std::vector<int>{pa.back()});
@@ -302,6 +313,31 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
   EXPECT_TRUE(std::equal(wa.begin(), wa.end(), mixed.logits_row(0).begin()));
   EXPECT_TRUE(std::equal(wb.begin(), wb.end(), mixed.logits_row(1).begin()));
   EXPECT_TRUE(std::equal(wa.begin(), wa.end(), mixed.logits_row(2).begin()));
+
+  // Rows resumed at different depths in one batch: row 0 from the full pa
+  // state, row 1 from the shallower one, row 2 fresh. One prefill brings
+  // each to the end of pa at its own position, and every row's logits
+  // match a cold single-row prime of pa bitwise.
+  InferenceSession cold(model);
+  cold.reset(1);
+  cold.prime(pa);
+  const auto want = cold.logits_row(0);
+  const std::vector<PrefillRow> starts = {
+      {pa, &snap_a}, {pa, &snap_c}, {pa, nullptr}};
+  InferenceSession ragged(model);
+  const PrefillCounts n = ragged.prefill(starts);
+  EXPECT_EQ(n.saved, pa.size() + cut);
+  EXPECT_EQ(n.tokens, (pa.size() - cut) + pa.size());
+  for (Index r = 0; r < 3; ++r) {
+    EXPECT_EQ(ragged.position(r), static_cast<Index>(pa.size()));
+    const auto got = ragged.logits_row(r);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+        << "row " << r;
+  }
+  // A state deeper than the row's tokens is rejected, not half-used.
+  const std::vector<PrefillRow> too_deep = {
+      {std::span<const int>(pa).first(cut), &snap_a}};
+  EXPECT_THROW(ragged.prefill(too_deep), std::invalid_argument);
 }
 
 /// Pattern mix exercising divisions at several depths and leaf sizes.

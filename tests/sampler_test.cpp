@@ -132,6 +132,29 @@ TEST(SamplePasswords, DeterministicForSameRngSeed) {
   EXPECT_EQ(a, b);
 }
 
+TEST(SamplePasswords, RejectsResumeStateDeeperThanPrefix) {
+  // A snapshot two tokens past the prefix cannot be cut back to it; using
+  // it would sample the first token from logits the prefix never produced.
+  const GptModel m(Config::tiny(), 18);
+  const auto pattern = *pcfg::parse_pattern("L4N2");
+  const std::vector<int> prefix = Tokenizer::encode_generation_prefix(pattern);
+  std::vector<int> deeper = prefix;
+  deeper.push_back(Tokenizer::char_token('T'));
+  deeper.push_back(Tokenizer::char_token('F'));
+  InferenceSession s(m);
+  s.reset(1);
+  s.prime(deeper);
+  const KvState state = s.snapshot(0);
+  ASSERT_GT(state.len, static_cast<Index>(prefix.size()));
+  SampleOptions opts;
+  opts.batch_size = 4;
+  Rng rng(11);
+  EXPECT_THROW(sample_passwords(m, prefix, 8, rng, opts,
+                                core::make_pattern_mask(pattern), nullptr,
+                                &state),
+               std::invalid_argument);
+}
+
 TEST(SamplePasswords, StatsCountInvalids) {
   const GptModel m(Config::tiny(), 16);
   Rng rng(17);

@@ -109,6 +109,8 @@ TEST_F(ServeTest, PrefixRequestContinuesPrefix) {
 TEST_F(ServeTest, ResultsIndependentOfBatchGeometry) {
   // The same requests must yield identical responses whatever the batch
   // size or batching mode: row r draws from Rng(seed, "serve.row/r").
+  // Requests of different prefix lengths and kinds share batches, each row
+  // at its own position.
   const auto run = [&](std::size_t max_batch, bool batching) {
     ServiceConfig cfg;
     cfg.max_batch = max_batch;
@@ -117,6 +119,20 @@ TEST_F(ServeTest, ResultsIndependentOfBatchGeometry) {
     std::vector<std::future<Response>> futs;
     for (int i = 0; i < 6; ++i)
       futs.push_back(svc.submit(pattern_req("L6N2", 7, 100 + i)));
+    futs.push_back(svc.submit(pattern_req("L4", 5, 110)));
+    futs.push_back(svc.submit(pattern_req("N6", 4, 111)));
+    Request prefix;
+    prefix.kind = RequestKind::kPrefix;
+    prefix.pattern = "L4N2";
+    prefix.prefix = "Ab";
+    prefix.count = 3;
+    prefix.seed = 112;
+    futs.push_back(svc.submit(prefix));
+    Request free;
+    free.kind = RequestKind::kFree;
+    free.count = 4;
+    free.seed = 113;
+    futs.push_back(svc.submit(free));
     std::vector<std::vector<std::string>> out;
     for (auto& f : futs) {
       Response r = f.get();
@@ -128,8 +144,20 @@ TEST_F(ServeTest, ResultsIndependentOfBatchGeometry) {
   const auto small_batched = run(4, true);
   const auto large_batched = run(64, true);
   const auto unbatched = run(64, false);
-  EXPECT_EQ(small_batched, large_batched);
-  EXPECT_EQ(small_batched, unbatched);
+  // Fixed-length L6N2 rows finish together, in row order.
+  const auto first6 = [](const std::vector<std::vector<std::string>>& v) {
+    return std::vector<std::vector<std::string>>(v.begin(), v.begin() + 6);
+  };
+  EXPECT_EQ(first6(small_batched), first6(large_batched));
+  EXPECT_EQ(first6(small_batched), first6(unbatched));
+  // Other rows finish when they draw <EOS>, so order within a response may
+  // differ; the passwords may not.
+  const auto sorted = [](std::vector<std::vector<std::string>> v) {
+    for (auto& pws : v) std::sort(pws.begin(), pws.end());
+    return v;
+  };
+  EXPECT_EQ(sorted(small_batched), sorted(large_batched));
+  EXPECT_EQ(sorted(small_batched), sorted(unbatched));
 }
 
 TEST_F(ServeTest, BadRequestsRejectImmediately) {
