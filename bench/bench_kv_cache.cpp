@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   cfg.sample.batch_size = 128;
 
   const auto run = [&](bool cached, core::DcGenStats& stats, double& secs) {
-    cfg.kv_cache = cached;
+    cfg.kv_cache_bytes = cached ? core::DcGenConfig{}.kv_cache_bytes : 0;
     obs::StageTimer stage(cached ? "dcgen/cached" : "dcgen/uncached");
     const auto start = std::chrono::steady_clock::now();
     auto out = core::dc_generate(model, pcfg_model.patterns(), cfg,

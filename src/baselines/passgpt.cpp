@@ -33,8 +33,7 @@ std::vector<std::string> PassGpt::generate(std::size_t count, Rng& rng,
                                            const gpt::SampleOptions& opts,
                                            gpt::SampleStats* stats) const {
   const std::vector<int> prefix = {tok::Tokenizer::kBos};
-  return gpt::sample_passwords(model_, prefix, count, rng, opts, nullptr,
-                               stats);
+  return gpt::sample_passwords(model_, prefix, count, rng, opts, {}, stats);
 }
 
 std::vector<std::string> PassGpt::generate_with_pattern(
@@ -43,8 +42,8 @@ std::vector<std::string> PassGpt::generate_with_pattern(
   const std::vector<int> prefix = {tok::Tokenizer::kBos};
   // The filtering starts at password position 0: the model never sees the
   // pattern, it is simply forbidden from leaving it.
-  const auto mask = core::make_pattern_mask(pattern, 0);
-  return gpt::sample_passwords(model_, prefix, count, rng, opts, mask, stats);
+  return gpt::sample_passwords(model_, prefix, count, rng, opts,
+                               core::make_pattern_mask(pattern), stats);
 }
 
 }  // namespace ppg::baselines

@@ -117,10 +117,14 @@ std::uint64_t jmix_double(std::uint64_t h, double v) noexcept {
 
 /// Fingerprint of everything that determines the guess stream: the output-
 /// relevant config knobs, the seed, the pattern distribution, and the model
-/// weights. threads / kv_cache / division_batch are deliberately excluded —
-/// they never change the output (dcgen_test asserts this), so a journal may
-/// be resumed with a different parallelism setup. A fingerprint mismatch
-/// means the journal belongs to a different run and must be discarded.
+/// weights. threads and the byte budgets (kv_cache_bytes,
+/// ordered_cache_bytes) are deliberately excluded — they never change the
+/// output (dcgen_test and kv_cache_test assert this), so a journal may be
+/// resumed with a different parallelism or memory setup. division_batch is
+/// included: a division group is taken from the back of its length bucket,
+/// so the batch size decides the order leaves are numbered in, and with it
+/// every sampled leaf's RNG stream. A fingerprint mismatch means the
+/// journal belongs to a different run and must be discarded.
 std::uint64_t dc_fingerprint(const gpt::GptModel& model,
                              const pcfg::PatternDistribution& patterns,
                              const DcGenConfig& cfg, std::uint64_t seed) {
@@ -130,14 +134,14 @@ std::uint64_t dc_fingerprint(const gpt::GptModel& model,
   h = jmix_double(h, cfg.threshold);
   h = jmix_double(h, cfg.min_task);
   h = jmix(h, cfg.max_patterns);
+  h = jmix(h, std::max<std::size_t>(cfg.division_batch, 1));
   h = jmix(h, cfg.strict_leaves ? 1 : 0);
   // Ordered-leaf knobs are output-relevant: the mode picks the leaf
-  // algorithm outright, and the search budgets decide what truncation (if
-  // any) drops from each leaf's top-n.
+  // algorithm outright, and the frontier and expansion caps decide what
+  // truncation (if any) drops from each leaf's top-n.
   h = jmix(h, cfg.leaf_mode == LeafMode::kOrdered ? 1 : 0);
   if (cfg.leaf_mode == LeafMode::kOrdered) {
     h = jmix(h, cfg.ordered_max_nodes);
-    h = jmix(h, cfg.ordered_cache_bytes);
     h = jmix(h, cfg.ordered_max_expansions);
   }
   h = jmix_double(h, cfg.sample.temperature);
@@ -445,7 +449,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
   // identical either way (kv_cache.h), so the cache may be toggled, sized,
   // or evicted freely without changing a single emitted guess.
   std::unique_ptr<gpt::KvTrieCache> cache;
-  if (cfg.kv_cache)
+  if (cfg.kv_cache_bytes > 0)
     cache = std::make_unique<gpt::KvTrieCache>(cfg.kv_cache_bytes);
   gpt::InferenceSession session(model, cfg.sample.precision);
   const auto& class_sets = ClassTokenSets::instance();
@@ -484,21 +488,21 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     for (std::size_t i = 0; i < group.size(); ++i) {
       Task& t = group[i];
       ++local.divisions;
-      const auto cls = pcfg::class_at(*t.pattern, t.chars_done);
-      const auto& allowed = class_sets.of(*cls);
+      const std::span<const int> allowed =
+          class_sets.of(*pcfg::class_at(*t.pattern, t.chars_done));
       const std::span<const float> logits =
           session.logits_row(static_cast<gpt::Index>(i));
       // Softmax restricted to the candidate tokens (paper: c = 52/10/32).
       float mx = -1e30f;
-      for (std::size_t v = 0; v < logits.size(); ++v)
-        if (allowed[v]) mx = std::max(mx, logits[v]);
+      for (const int v : allowed)
+        mx = std::max(mx, logits[static_cast<std::size_t>(v)]);
       double z = 0.0;
       thread_local std::vector<std::pair<int, double>> cand;
       cand.clear();
-      for (std::size_t v = 0; v < logits.size(); ++v) {
-        if (!allowed[v]) continue;
-        const double e = std::exp(double(logits[v] - mx));
-        cand.emplace_back(static_cast<int>(v), e);
+      for (const int v : allowed) {
+        const double e =
+            std::exp(double(logits[static_cast<std::size_t>(v)] - mx));
+        cand.emplace_back(v, e);
         z += e;
       }
       for (auto& [tok_id, weight] : cand) {
@@ -573,9 +577,9 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     const auto count = static_cast<std::size_t>(std::llround(t.n));
     if (count == 0) return;
     Rng rng(seed ^ hash64("dcgen-leaf"), std::to_string(leaf_idx));
-    const gpt::LogitMask mask =
+    const gpt::AllowedTokens allowed =
         cfg.strict_leaves ? make_pattern_mask(*t.pattern, t.chars_done)
-                          : gpt::LogitMask{};
+                          : gpt::AllowedTokens{};
     // A leaf's parent prefix was snapshotted when it was divided, so the
     // deepest cached ancestor usually covers all but the last token. The
     // handle pins the state for the duration of the sampling call.
@@ -591,7 +595,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
       sopts.cache_bytes = cfg.ordered_cache_bytes;
       sopts.max_expansions = cfg.ordered_max_expansions;
       sopts.max_guesses = count;
-      search::OrderedEnumerator enumerator(model, t.prefix, sopts, mask,
+      search::OrderedEnumerator enumerator(model, t.prefix, sopts, allowed,
                                            hit ? hit.state() : nullptr);
       auto& out = leaf_out[leaf_idx];
       out.reserve(count);
@@ -602,8 +606,8 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
       leaf_stats[leaf_idx].prefill_saved = enumerator.stats().prefill_saved;
     } else {
       leaf_out[leaf_idx] =
-          gpt::sample_passwords(model, t.prefix, count, rng, cfg.sample, mask,
-                                &leaf_stats[leaf_idx],
+          gpt::sample_passwords(model, t.prefix, count, rng, cfg.sample,
+                                allowed, &leaf_stats[leaf_idx],
                                 hit ? hit.state() : nullptr);
     }
     DcMetrics::get().emitted.inc(leaf_out[leaf_idx].size());

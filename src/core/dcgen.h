@@ -58,12 +58,14 @@ struct DcGenConfig {
   /// leaf becomes descending model probability.
   LeafMode leaf_mode = LeafMode::kSampled;
   /// Ordered-leaf frontier cap (see search::OrderedOptions::max_nodes).
-  /// Unlike kv_cache_bytes, the ordered budgets *can* change which guesses
-  /// are emitted (budget truncation), so they are part of the journal
-  /// fingerprint.
+  /// Unlike the byte budgets, the frontier and expansion caps *can* change
+  /// which guesses are emitted (budget truncation), so they are part of the
+  /// journal fingerprint.
   std::size_t ordered_max_nodes = std::size_t(1) << 16;
   /// Ordered-leaf KV-trie byte budget (per leaf, not shared with the
-  /// run-level cache below).
+  /// run-level cache below). Like kv_cache_bytes it only trades re-priming
+  /// work for memory: the trie evicts to fit and no frontier node is ever
+  /// dropped for bytes, so the emitted guesses never depend on it.
   std::size_t ordered_cache_bytes = std::size_t(32) << 20;
   /// Per-leaf expansion budget (0 = unlimited). Best-first search under a
   /// near-uniform model can sweep nearly the whole pattern tree before
@@ -77,7 +79,10 @@ struct DcGenConfig {
   double min_task = 1.0;
   /// Only divide the top-K patterns (0 = all patterns).
   std::size_t max_patterns = 0;
-  /// Maximum number of same-length tasks divided per batched model call.
+  /// Maximum number of same-length tasks divided per batched model call
+  /// (0 acts as 1). Each group is taken from the back of its length bucket,
+  /// so the batch size decides the order leaves are numbered in and with it
+  /// each sampled leaf's RNG stream: it is part of the journal fingerprint.
   std::size_t division_batch = 64;
   /// Enforce pattern conformance at leaves (required for the cross-task
   /// no-duplicate invariant; off reproduces unconstrained drift).
@@ -87,14 +92,12 @@ struct DcGenConfig {
   /// any thread count: each leaf draws from its own seeded RNG and outputs
   /// are concatenated in task order.
   int threads = 1;
-  /// Prefix-trie KV cache (src/gpt/kv_cache.h): division batches and leaf
-  /// generations resume from the deepest cached ancestor prefix instead of
-  /// re-priming from <BOS>. Guess output is bitwise identical either way,
-  /// for any thread count and any byte budget (tests/kv_cache_test.cpp);
-  /// only the prefill work changes.
-  bool kv_cache = true;
-  /// Byte budget for the per-run cache. LRU eviction of unpinned nodes;
-  /// a tiny budget degrades hit depth, never correctness.
+  /// Byte budget of the per-run prefix-trie KV cache (src/gpt/kv_cache.h;
+  /// 0 = no cache): division batches and leaf generations resume from the
+  /// deepest cached ancestor prefix instead of re-priming from <BOS>. LRU
+  /// eviction of unpinned nodes; a tiny budget degrades hit depth, never
+  /// correctness. Guess output is bitwise identical for any budget and any
+  /// thread count (tests/kv_cache_test.cpp); only the prefill work changes.
   std::size_t kv_cache_bytes = std::size_t(256) << 20;
   /// Directory for the resumable job journal (empty = off). With a journal,
   /// the run saves its division plan once (the division phase is

@@ -56,21 +56,16 @@ std::vector<std::string> PagPassGPT::generate_with_pattern(
     const gpt::SampleOptions& opts, bool strict,
     gpt::SampleStats* stats) const {
   const auto prefix = tok::Tokenizer::encode_generation_prefix(pattern);
-  if (strict) {
-    const auto mask = make_pattern_mask(pattern);
-    return gpt::sample_passwords(model_, prefix, count, rng, opts, mask,
-                                 stats);
-  }
-  return gpt::sample_passwords(model_, prefix, count, rng, opts, nullptr,
-                               stats);
+  return gpt::sample_passwords(
+      model_, prefix, count, rng, opts,
+      strict ? make_pattern_mask(pattern) : gpt::AllowedTokens{}, stats);
 }
 
 std::vector<std::string> PagPassGPT::generate_free(
     std::size_t count, Rng& rng, const gpt::SampleOptions& opts,
     gpt::SampleStats* stats) const {
   const std::vector<int> prefix = {tok::Tokenizer::kBos};
-  return gpt::sample_passwords(model_, prefix, count, rng, opts, nullptr,
-                               stats);
+  return gpt::sample_passwords(model_, prefix, count, rng, opts, {}, stats);
 }
 
 double PagPassGPT::log_prob(std::string_view password) const {

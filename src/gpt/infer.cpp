@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "gpt/sampler.h"
 #include "nn/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -395,17 +396,13 @@ double sequence_log_prob(const GptModel& model, std::span<const int> ids) {
     throw std::invalid_argument("sequence_log_prob: sequence exceeds context");
   InferenceSession session(model);
   session.reset(1);
+  std::vector<double> log_probs;
   double total = 0.0;
   for (std::size_t t = 0; t + 1 < ids.size(); ++t) {
     const int tok = ids[t];
-    const auto logits = session.step(std::span<const int>(&tok, 1));
-    // log softmax at the next token's index.
-    float mx = logits[0];
-    for (const float v : logits) mx = std::max(mx, v);
-    double z = 0.0;
-    for (const float v : logits) z += std::exp(double(v - mx));
-    total += double(logits[static_cast<std::size_t>(ids[t + 1])] - mx) -
-             std::log(z);
+    masked_log_probs(session.step(std::span<const int>(&tok, 1)),
+                     AllowedTokens::every(), log_probs);
+    total += log_probs[static_cast<std::size_t>(ids[t + 1])];
   }
   return total;
 }

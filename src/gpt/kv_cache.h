@@ -66,9 +66,10 @@ struct KvState {
 /// eviction under a byte budget.
 class KvTrieCache {
  public:
-  /// `max_bytes` caps the *unpinned* resident payload: pinned nodes are
-  /// never evicted, so the live total can transiently exceed the budget
-  /// while handles are outstanding; it is trimmed back as they release.
+  /// `max_bytes` caps the resident payload: an insert evicts unpinned
+  /// states, least recently used first and the new one included, until the
+  /// total fits. Pinned nodes are never evicted, but a pin only holds a
+  /// state that is already resident, so the total never exceeds the budget.
   explicit KvTrieCache(std::size_t max_bytes);
   ~KvTrieCache();
 

@@ -1,7 +1,9 @@
 #include "gpt/sampler.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -9,22 +11,36 @@
 
 namespace ppg::gpt {
 
-int sample_from_logits(std::span<const float> logits, Rng& rng,
+std::span<const int> AllowedTokens::every() {
+  static const std::array<int, tok::Tokenizer::kVocabSize> ids = [] {
+    std::array<int, tok::Tokenizer::kVocabSize> all{};
+    std::iota(all.begin(), all.end(), 0);
+    return all;
+  }();
+  return ids;
+}
+
+int sample_from_logits(std::span<const float> logits,
+                       std::span<const int> allowed, Rng& rng,
                        const SampleOptions& opts) {
-  const std::size_t v = logits.size();
-  // Work on (probability, index) pairs after temperature scaling.
+  if (allowed.empty()) return -1;
+  // Temperature-scaled logits of the allowed ids, then (probability, id)
+  // pairs. The scaled logits are stored before any exp, so no multiply-add
+  // folds the scaling into the subtraction, and the exps run one at a time
+  // in the emplace loop rather than as a vector call: each probability has
+  // the same bits whatever the list length or the build's vector width.
+  thread_local std::vector<float> scaled;
   thread_local std::vector<std::pair<float, int>> items;
-  items.clear();
-  items.reserve(v);
+  scaled.resize(allowed.size());
   const float inv_t = 1.f / std::max(opts.temperature, 1e-6f);
-  float mx = -1e30f;
-  for (std::size_t i = 0; i < v; ++i) mx = std::max(mx, logits[i] * inv_t);
-  for (std::size_t i = 0; i < v; ++i) {
-    const float l = logits[i] * inv_t;
-    if (l <= -1e29f) continue;  // masked out
-    items.emplace_back(std::exp(l - mx), static_cast<int>(i));
+  float mx = -std::numeric_limits<float>::infinity();
+  for (std::size_t k = 0; k < allowed.size(); ++k) {
+    scaled[k] = logits[static_cast<std::size_t>(allowed[k])] * inv_t;
+    mx = std::max(mx, scaled[k]);
   }
-  if (items.empty()) return -1;  // everything masked
+  items.clear();
+  for (std::size_t k = 0; k < allowed.size(); ++k)
+    items.emplace_back(std::exp(scaled[k] - mx), allowed[k]);
   const bool truncate =
       (opts.top_k > 0 && static_cast<std::size_t>(opts.top_k) < items.size()) ||
       opts.top_p < 1.0;
@@ -58,13 +74,37 @@ int sample_from_logits(std::span<const float> logits, Rng& rng,
   return items.back().second;
 }
 
+void masked_log_probs(std::span<const float> logits,
+                      std::span<const int> allowed, std::vector<double>& out) {
+  out.resize(allowed.size());
+  if (allowed.empty()) return;
+  thread_local std::vector<float> listed;
+  listed.assign(logits.size(), 0.f);
+  float mx = logits[static_cast<std::size_t>(allowed[0])];
+  for (const int id : allowed) {
+    mx = std::max(mx, logits[static_cast<std::size_t>(id)]);
+    listed[static_cast<std::size_t>(id)] = 1.f;
+  }
+  // The normaliser walks the whole row in id order and skips unlisted ids
+  // rather than walking the list: -ffast-math builds vectorise this loop
+  // into partial sums keyed by id, and a sum in any other shape moves the
+  // last bit of some scores.
+  double z = 0.0;
+  for (std::size_t i = 0; i < logits.size(); ++i)
+    if (listed[i] != 0.f) z += std::exp(static_cast<double>(logits[i] - mx));
+  const double logz = std::log(z);
+  for (std::size_t k = 0; k < allowed.size(); ++k)
+    out[k] = static_cast<double>(
+                 logits[static_cast<std::size_t>(allowed[k])] - mx) -
+             logz;
+}
+
 void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
                  const SampleOptions& opts, const RowDone& done) {
   const Index context = session.config().context;
   std::vector<std::vector<int>> generated(rows.size());
   std::vector<char> finished(rows.size(), 0);
   std::vector<int> feed(rows.size());
-  std::vector<float> logits(static_cast<std::size_t>(session.config().vocab));
   for (std::size_t alive = rows.size(); alive > 0;) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       feed[i] = InferenceSession::kIdle;
@@ -73,15 +113,15 @@ void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
       std::vector<int>& out = generated[i];
       int tok_id = -1;  // a full context window draws nothing
       if (pos < context) {
-        const auto row = session.logits_row(static_cast<Index>(i));
-        std::copy(row.begin(), row.end(), logits.begin());
-        const LogitMask* mask = rows[i].mask;
-        if (mask != nullptr && *mask)
-          (*mask)(static_cast<Index>(out.size()), logits);
-        tok_id = sample_from_logits(logits, *rows[i].rng, opts);
+        const AllowedTokens* table = rows[i].allowed;
+        tok_id = sample_from_logits(
+            session.logits_row(static_cast<Index>(i)),
+            table ? table->at(static_cast<Index>(out.size()))
+                  : AllowedTokens::every(),
+            *rows[i].rng, opts);
       }
       if (tok_id >= 0) out.push_back(tok_id);
-      // Finished on <EOS>, on a fully masked row (the caller's decode
+      // Finished on <EOS>, on a row allowed no token (the caller's decode
       // rejects structurally bad sequences), or when the drawn token would
       // take the last position, whose logits nothing reads.
       if (tok_id < 0 || tok_id == tok::Tokenizer::kEos || pos + 1 >= context) {
@@ -100,7 +140,7 @@ std::vector<std::string> sample_passwords(const GptModel& model,
                                           std::span<const int> prefix,
                                           std::size_t count, Rng& rng,
                                           const SampleOptions& opts,
-                                          const LogitMask& mask,
+                                          const AllowedTokens& allowed,
                                           SampleStats* stats,
                                           const KvState* resume) {
   std::vector<std::string> out;
@@ -122,7 +162,7 @@ std::vector<std::string> sample_passwords(const GptModel& model,
     local.prefill_tokens += primed.tokens;
     local.prefill_saved += primed.saved;
     decoded.assign(n, std::nullopt);
-    const std::vector<SampleRow> draws(n, SampleRow{&mask, &rng});
+    const std::vector<SampleRow> draws(n, SampleRow{&allowed, &rng});
     sample_rows(session, draws, opts,
                 [&](std::size_t i, std::span<const int> generated) {
                   full.resize(prefix.size());

@@ -3,18 +3,20 @@
 // One decode loop serves every sampled path in the repo: sample_rows()
 // draws each session row's tokens until it finishes and retires it at
 // once, and its callers only say where rows start (InferenceSession::
-// prefill) and what to do with a finished row. The schemes it covers:
-//  * PagPassGPT pattern-guided: prefix = <BOS> pattern <SEP>, no mask;
-//  * PagPassGPT free-running:   prefix = <BOS>, no mask (the model emits
+// prefill) and which tokens each row may draw at each step (AllowedTokens).
+// The schemes it covers:
+//  * PagPassGPT pattern-guided: prefix = <BOS> pattern <SEP>, no table;
+//  * PagPassGPT free-running:   prefix = <BOS>, no table (the model emits
 //    pattern, <SEP>, password, <EOS> on its own — paper §IV-D);
-//  * PassGPT guided filtering:  prefix = <BOS>, mask = pattern filter that
-//    zeroes tokens violating the target pattern at each step (§I-A1);
-//  * D&C-GEN leaf tasks:        prefix = task prefix, mask = pattern filter
-//    from the task's pattern suffix;
+//  * PassGPT guided filtering:  prefix = <BOS>, table = the target
+//    pattern's character class at each step (§I-A1);
+//  * D&C-GEN leaf tasks:        prefix = task prefix, table = the classes of
+//    the task's pattern suffix;
 //  * served requests:           one row per requested guess, each with its
-//    own prefix, mask and RNG stream (src/serve).
+//    own prefix, table and RNG stream (src/serve).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -55,14 +57,31 @@ struct SampleStats {
   std::size_t prefill_saved = 0;
 };
 
-/// Hook applied to each active sequence's raw logits before sampling;
-/// `step` counts tokens generated after the prefix (0-based). Set a logit
-/// to a very negative value (e.g. -1e30f) to forbid a token.
-using LogitMask = std::function<void(Index step, std::span<float> logits)>;
+/// Pattern conformance as data: the token ids a sequence may take at each
+/// step after its prefix (step 0 is the first generated token). Each entry
+/// is an ascending list, in practice a span into one of the shared
+/// per-class lists of core/masks.h, and the last entry also covers every
+/// later step. An empty table allows every token at every step. Sampling,
+/// ordered search and D&C-GEN division consider only the listed ids, in
+/// order.
+struct AllowedTokens {
+  std::vector<std::span<const int>> steps;
+
+  /// Every id of the tokenizer's vocabulary, ascending: the list of an
+  /// unrestricted step.
+  static std::span<const int> every();
+
+  /// The ids allowed at `step` (every() for an empty table).
+  std::span<const int> at(Index step) const {
+    if (steps.empty()) return every();
+    return steps[std::min(static_cast<std::size_t>(step), steps.size() - 1)];
+  }
+};
 
 /// How sample_rows() draws one row's tokens.
 struct SampleRow {
-  const LogitMask* mask = nullptr;  ///< null or empty: unmasked
+  /// Null, like an empty table, allows every token. Must outlive the call.
+  const AllowedTokens* allowed = nullptr;
   Rng* rng = nullptr;  ///< may be shared: rows draw in index order per step
 };
 
@@ -71,12 +90,12 @@ struct SampleRow {
 using RowDone = std::function<void(std::size_t row, std::span<const int>)>;
 
 /// The decode loop: samples every session row from its current logits
-/// (e.g. after InferenceSession::prefill) until it draws <EOS>, has every
-/// token masked out, or fills the context window. Each step visits the
-/// unfinished rows in index order — mask with the row's step count, draw —
-/// then feeds the drawn tokens in one session step, so rows sharing one Rng
-/// draw from it step by step, rows by index. A finished row is handed to
-/// `done` at once and sits out every later step.
+/// (e.g. after InferenceSession::prefill) until it draws <EOS>, is allowed
+/// no token, or fills the context window. Each step visits the unfinished
+/// rows in index order — draw among the ids its table allows at the row's
+/// step count — then feeds the drawn tokens in one session step, so rows
+/// sharing one Rng draw from it step by step, rows by index. A finished row
+/// is handed to `done` at once and sits out every later step.
 void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
                  const SampleOptions& opts, const RowDone& done);
 
@@ -95,12 +114,24 @@ std::vector<std::string> sample_passwords(const GptModel& model,
                                           std::span<const int> prefix,
                                           std::size_t count, Rng& rng,
                                           const SampleOptions& opts = {},
-                                          const LogitMask& mask = nullptr,
+                                          const AllowedTokens& allowed = {},
                                           SampleStats* stats = nullptr,
                                           const KvState* resume = nullptr);
 
-/// Samples a token id from raw logits under the given options.
-int sample_from_logits(std::span<const float> logits, Rng& rng,
+/// Samples a token id among the `allowed` ids (ascending) of a raw logit
+/// row under the given options; -1 when the list is empty. Other logits are
+/// never read.
+int sample_from_logits(std::span<const float> logits,
+                       std::span<const int> allowed, Rng& rng,
                        const SampleOptions& opts);
+
+/// Log-softmax of a raw logit row renormalised over the `allowed` ids
+/// (ascending): out[k] = log P(allowed[k] | allowed), max-subtracted and
+/// summed in double, so an unlisted id is never scored. An empty list
+/// leaves `out` empty. Ordered search scores children with it, its
+/// brute-force oracle re-scores them bitwise, and sequence_log_prob uses it
+/// over AllowedTokens::every().
+void masked_log_probs(std::span<const float> logits,
+                      std::span<const int> allowed, std::vector<double>& out);
 
 }  // namespace ppg::gpt

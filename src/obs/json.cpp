@@ -129,185 +129,7 @@ JsonWriter& JsonWriter::raw(std::string_view json) {
 
 namespace {
 
-/// Recursive-descent JSON checker over a string_view cursor.
-class Validator {
- public:
-  explicit Validator(std::string_view text) : text_(text) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    if (!value()) {
-      fill(error);
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      err_ = "trailing content";
-      fill(error);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void fill(std::string* error) const {
-    if (error)
-      *error = err_ + " at byte " + std::to_string(pos_);
-  }
-
-  bool eof() const { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r'))
-      ++pos_;
-  }
-
-  bool fail(const char* what) {
-    err_ = what;
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return fail("bad literal");
-    pos_ += word.size();
-    return true;
-  }
-
-  bool value() {
-    if (depth_ > 256) return fail("nesting too deep");
-    if (eof()) return fail("unexpected end of input");
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++depth_;
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (eof() || peek() != '"') return fail("expected object key");
-      if (!string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') return fail("expected ':'");
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array() {
-    ++depth_;
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool string() {
-    ++pos_;  // '"'
-    while (!eof()) {
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c < 0x20) return fail("control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (eof()) return fail("unterminated escape");
-        const char e = text_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(peek())))
-              return fail("bad \\u escape");
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return fail("bad escape character");
-        }
-      }
-      ++pos_;
-    }
-    return fail("unterminated string");
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-      return fail("expected value");
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-        return fail("bad fraction");
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-        return fail("bad exponent");
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string err_ = "invalid JSON";
-};
-
-/// Recursive-descent parser building the JsonValue DOM. Grammar identical
-/// to the Validator's; kept separate so validation stays allocation-free.
+/// Recursive-descent parser building the JsonValue DOM.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -563,7 +385,7 @@ class Parser {
 }  // namespace
 
 bool validate_json(std::string_view text, std::string* error) {
-  return Validator(text).run(error);
+  return parse_json(text, error).has_value();
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

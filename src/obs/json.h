@@ -1,11 +1,11 @@
-// Minimal JSON emitter, validator, and DOM parser for the observability
-// and serving subsystems.
+// Minimal JSON emitter and DOM parser for the observability and serving
+// subsystems.
 //
 // The exporters (metrics snapshot, trace events, run reports) only need to
-// *produce* JSON; nothing in the hot path parses it. The validator exists so
-// tests and the ctest smoke targets can assert that emitted files are
-// well-formed, and the small DOM parser backs the serve layer's
-// newline-delimited JSON request protocol — all without pulling in an
+// *produce* JSON; nothing in the hot path parses it. The small DOM parser
+// backs the serve layer's newline-delimited JSON request protocol, and
+// validate_json (the same grammar) lets tests and the ctest smoke targets
+// assert that emitted files are well-formed — all without pulling in an
 // external JSON library.
 #pragma once
 
@@ -60,9 +60,9 @@ class JsonWriter {
 };
 
 /// Validates that `text` is exactly one well-formed JSON value (RFC 8259
-/// subset: objects, arrays, strings with escapes, numbers, literals).
-/// On failure returns false and, if `error` is non-null, stores a short
-/// message with the byte offset of the problem.
+/// subset: objects, arrays, strings with escapes, numbers, literals):
+/// whether parse_json accepts it. On failure returns false and, if `error`
+/// is non-null, stores a short message with the byte offset of the problem.
 bool validate_json(std::string_view text, std::string* error = nullptr);
 
 /// Parsed JSON value (small DOM). Objects keep insertion order; find()
@@ -92,9 +92,10 @@ struct JsonValue {
   std::optional<bool> get_bool(std::string_view key) const;
 };
 
-/// Parses exactly one JSON value (same grammar the validator accepts).
-/// Returns std::nullopt on malformed input and, if `error` is non-null,
-/// stores a short message with the byte offset of the problem.
+/// Parses exactly one JSON value. A \uD800-\uDBFF escape must be followed
+/// by a \uDC00-\uDFFF one (a surrogate pair); a lone high surrogate is
+/// malformed. Returns std::nullopt on malformed input and, if `error` is
+/// non-null, stores a short message with the byte offset of the problem.
 std::optional<JsonValue> parse_json(std::string_view text,
                                     std::string* error = nullptr);
 

@@ -1,7 +1,6 @@
 #include "search/ordered.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -14,11 +13,6 @@
 namespace ppg::search {
 
 namespace {
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-/// Logits at or below this are masked out (the LogitMask convention writes
-/// -1e30f; the sampler uses the same threshold).
-constexpr float kMaskedLogit = -1e29f;
 
 struct SearchMetrics {
   obs::Counter& nodes_expanded;
@@ -38,35 +32,15 @@ SearchMetrics& search_metrics() {
 
 }  // namespace
 
-std::vector<double> masked_log_probs(std::span<const float> logits) {
-  std::vector<double> out;
-  masked_log_probs(logits, out);
-  return out;
-}
-
-void masked_log_probs(std::span<const float> logits, std::vector<double>& out) {
-  out.assign(logits.size(), kNegInf);
-  float mx = kMaskedLogit;
-  for (float l : logits)
-    if (l > kMaskedLogit && l > mx) mx = l;
-  if (mx <= kMaskedLogit) return;  // everything masked
-  double z = 0.0;
-  for (float l : logits)
-    if (l > kMaskedLogit) z += std::exp(static_cast<double>(l - mx));
-  const double logz = std::log(z);
-  for (std::size_t i = 0; i < logits.size(); ++i)
-    if (logits[i] > kMaskedLogit)
-      out[i] = static_cast<double>(logits[i] - mx) - logz;
-}
-
 OrderedEnumerator::OrderedEnumerator(const gpt::GptModel& model,
                                      std::vector<int> prefix,
-                                     OrderedOptions opts, gpt::LogitMask mask,
+                                     OrderedOptions opts,
+                                     gpt::AllowedTokens allowed,
                                      const gpt::KvState* resume)
     : model_(&model),
       prefix_(std::move(prefix)),
       opts_(opts),
-      mask_(std::move(mask)),
+      allowed_(std::move(allowed)),
       resume_(resume),
       cache_(opts.cache_bytes),
       session_(model) {
@@ -187,23 +161,19 @@ void OrderedEnumerator::expand(const Node& node) {
 void OrderedEnumerator::push_children(std::uint32_t parent, double logp,
                                       std::span<const float> logits) {
   const std::size_t seq_len = parents_[parent].seq.size();
-  scratch_.assign(logits.begin(), logits.end());
-  if (mask_) {
-    const Index step = static_cast<Index>(seq_len - prefix_.size());
-    mask_(step, scratch_);
-  }
-  masked_log_probs(scratch_, log_probs_);
+  const std::span<const int> ids =
+      allowed_.at(static_cast<Index>(seq_len - prefix_.size()));
+  gpt::masked_log_probs(logits, ids, log_probs_);
   const Index context = model_->config().context;
   const Index child_len = static_cast<Index>(seq_len) + 1;
   // The loop holds its own reference, so a backstop trim in push_node
   // cannot free the record under it.
   ++parents_[parent].children;
   bool pinned = false;
-  for (std::size_t t = 0; t < log_probs_.size(); ++t) {
-    if (log_probs_[t] == kNegInf) continue;
-    const double child_logp = logp + log_probs_[t];
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const double child_logp = logp + log_probs_[k];
     if (child_logp < opts_.min_log_prob) continue;
-    const bool terminal = static_cast<int>(t) == tok::Tokenizer::kEos;
+    const bool terminal = ids[k] == tok::Tokenizer::kEos;
     // A non-terminal child at the context boundary can never be stepped
     // again nor emit <EOS>; a terminal child needs no further step.
     if (!terminal && child_len >= context) continue;
@@ -214,7 +184,7 @@ void OrderedEnumerator::push_children(std::uint32_t parent, double logp,
       parents_[parent].pin = cache_.find(parents_[parent].seq);
       pinned = true;
     }
-    push_node(Node{child_logp, parent, static_cast<int>(t)});
+    push_node(Node{child_logp, parent, ids[k]});
   }
   release_parent(parent);  // frees it here if no child survived
   stats_.heap_peak = std::max(stats_.heap_peak, frontier_.size());
@@ -223,11 +193,16 @@ void OrderedEnumerator::push_children(std::uint32_t parent, double logp,
 }
 
 void OrderedEnumerator::enforce_budgets() {
+  // The trie keeps itself within cache_bytes (every insert evicts unpinned
+  // states, the new one included, and a pin only holds a resident state),
+  // so only the frontier cap drops nodes.
+  PPG_DCHECK(cache_.bytes() <= opts_.cache_bytes,
+             "KV trie holds %zu bytes over its %zu-byte budget", cache_.bytes(),
+             opts_.cache_bytes);
   // Drop the worst nodes one at a time, each in O(log n). Releasing a
   // dropped node's record lets the trie's deferred LRU eviction reclaim
   // its parent state once no sibling still references it.
-  while (frontier_.size() > 1 && (frontier_.size() > opts_.max_nodes ||
-                                  cache_.bytes() > opts_.cache_bytes)) {
+  while (frontier_.size() > opts_.max_nodes) {
     pop_minmax_heap_min(frontier_.begin(), frontier_.end(), by_worse());
     const Node dropped = frontier_.back();
     frontier_.pop_back();

@@ -14,7 +14,7 @@
 // Anytime contract: next() yields one complete guess per call, best-first.
 // Stopping early (by count, by min-logprob, by deadline) always leaves a
 // prefix of the ideal descending-probability ranking; truncation caused by
-// the heap/cache budgets is recorded as an admissible lower bound
+// the frontier budget is recorded as an admissible lower bound
 // (stats().truncated_log_prob) — guesses with log-prob at or below that
 // bound may be missing, anything above it is guaranteed complete.
 //
@@ -22,10 +22,10 @@
 // token sequence and one pin (KvTrieCache::Handle) on its snapshot — that
 // all of its frontier children share, so expanding a child costs one
 // resume + one step and no prefix re-prime, and pushing a child costs no
-// trie lookup and no allocation. Budget pressure is resolved by dropping
-// the *lowest-priority* frontier nodes; a record's pin is released when
-// its last child leaves the frontier, which lets the trie's LRU eviction
-// reclaim bytes.
+// trie lookup and no allocation. Frontier overflow is resolved by dropping
+// the *lowest-priority* nodes; a record's pin is released when its last
+// child leaves the frontier, which lets the trie's LRU eviction reclaim
+// bytes.
 //
 // Determinism: single-threaded, no RNG. Ties in cumulative log-prob are
 // broken by lexicographically smaller token sequence, making the emission
@@ -54,9 +54,11 @@ struct OrderedOptions {
   /// Frontier cap: when the heap exceeds this, lowest-priority nodes are
   /// dropped (recorded in stats as truncation).
   std::size_t max_nodes = 1u << 16;
-  /// Byte budget for the enumerator's internal KV trie. Pinned frontier
-  /// snapshots can transiently exceed it; the frontier sheds its worst
-  /// nodes until the trie fits again.
+  /// Byte budget for the enumerator's internal KV trie. Every insert evicts
+  /// unpinned states (the new one included) until the trie fits, so the
+  /// budget is never exceeded and never drops a frontier node; an evicted
+  /// parent is re-primed from its deepest cached ancestor, which costs
+  /// prefill work and changes no guess.
   std::size_t cache_bytes = 64ull << 20;
   /// Stop after this many emitted guesses (0 = unlimited).
   std::size_t max_guesses = 0;
@@ -98,30 +100,21 @@ struct OrderedStats {
 };
 
 /// One emitted guess with its exact model score: log P(sequence after the
-/// request prefix), masked-renormalized over the allowed tokens at every
-/// position (identical arithmetic to the sampler's masked softmax).
+/// request prefix), renormalised over the allowed tokens at every position
+/// (gpt::masked_log_probs).
 struct ScoredGuess {
   std::string password;
   double log_prob = 0.0;
 };
-
-/// Per-token log-probabilities of a masked logit row: tokens whose logit
-/// was forced to <= -1e29f (the LogitMask convention) get -inf; the rest
-/// are renormalized over the surviving set, max-subtracted and accumulated
-/// in double. This is the enumerator's exact scoring arithmetic, exposed
-/// so the exactness property test can brute-force rankings bitwise
-/// identically.
-std::vector<double> masked_log_probs(std::span<const float> logits);
-/// The same into `out` (resized to logits.size()), reusing its storage.
-void masked_log_probs(std::span<const float> logits, std::vector<double>& out);
 
 /// Best-first enumerator over one request prefix. Yields complete guesses
 /// one at a time in strictly descending (log_prob, lexicographic) order.
 ///
 /// `prefix` is the full token prefix (e.g. <BOS> pattern <SEP> or a
 /// D&C-GEN task prefix) and must be non-empty and within the model
-/// context. `mask` follows the sampler's LogitMask contract (step counts
-/// tokens generated after the prefix). When `resume` covers a leading part
+/// context. `allowed` lists the tokens each step may take (step counts
+/// tokens generated after the prefix; empty: every token), and an
+/// expansion scores only those. When `resume` covers a leading part
 /// of the prefix (resume->len <= prefix.size()), the root expansion
 /// restores those positions instead of re-priming them (a deeper snapshot
 /// makes the first next() throw std::invalid_argument); the snapshot must
@@ -132,7 +125,7 @@ void masked_log_probs(std::span<const float> logits, std::vector<double>& out);
 class OrderedEnumerator {
  public:
   OrderedEnumerator(const gpt::GptModel& model, std::vector<int> prefix,
-                    OrderedOptions opts = {}, gpt::LogitMask mask = nullptr,
+                    OrderedOptions opts = {}, gpt::AllowedTokens allowed = {},
                     const gpt::KvState* resume = nullptr);
 
   /// The next-best complete guess, or std::nullopt when enumeration is
@@ -187,8 +180,8 @@ class OrderedEnumerator {
   void expand_root();
   /// Expands the node just popped, whose full sequence is in seq_.
   void expand(const Node& node);
-  /// Scores `logits` after `parent`'s sequence (masked + renormalized),
-  /// pushes every surviving child, then enforces the heap/byte budgets.
+  /// Scores the allowed tokens after `parent`'s sequence on `logits`,
+  /// pushes every surviving child, then enforces the frontier budget.
   void push_children(std::uint32_t parent, double logp,
                      std::span<const float> logits);
   void enforce_budgets();
@@ -203,7 +196,7 @@ class OrderedEnumerator {
   const gpt::GptModel* model_;
   std::vector<int> prefix_;
   OrderedOptions opts_;
-  gpt::LogitMask mask_;
+  gpt::AllowedTokens allowed_;
   const gpt::KvState* resume_;  ///< cleared after the root expansion
 
   // Declared before parents_ so outstanding pins release first: the trie
@@ -213,8 +206,7 @@ class OrderedEnumerator {
   std::vector<Parent> parents_;
   std::vector<std::uint32_t> free_parents_;  ///< reusable parents_ slots
   std::vector<Node> frontier_;  ///< min-max heap ordered by worse()
-  std::vector<float> scratch_;  ///< masked logit row
-  std::vector<double> log_probs_;  ///< masked_log_probs of scratch_
+  std::vector<double> log_probs_;  ///< scores of the current allowed ids
   std::vector<int> seq_;  ///< full sequence of the node being expanded
   OrderedStats stats_;
   bool primed_ = false;

@@ -88,7 +88,7 @@ const char* reject_name(Reject r) noexcept {
 struct GuessService::Pending {
   std::uint64_t id = 0;
   std::vector<int> prefix;  ///< token prefix shared by every row
-  gpt::LogitMask mask;      ///< conformance mask (may be empty)
+  gpt::AllowedTokens allowed;  ///< conformance table (empty: every token)
   std::size_t target = 0;
   std::size_t unassigned = 0;    ///< rows not yet scheduled into a batch
   std::size_t inflight = 0;      ///< rows currently inside a batch
@@ -217,7 +217,7 @@ std::future<Response> GuessService::submit(Request req) {
       }
       offset = static_cast<int>(req.prefix.size());
     }
-    if (req.strict) p->mask = core::make_pattern_mask(std::move(*parsed), offset);
+    if (req.strict) p->allowed = core::make_pattern_mask(*parsed, offset);
   }
   if (static_cast<gpt::Index>(p->prefix.size()) >= model_.config().context)
     return reject(std::move(req), Reject::kBadRequest,
@@ -406,7 +406,7 @@ void GuessService::execute_ordered(const RowRef& row) {
   gpt::KvTrieCache::Handle hit;
   if (prefix_cache_ && cfg_.sample.precision == gpt::Precision::kFp32)
     hit = prefix_cache_->find_longest(p.prefix);
-  search::OrderedEnumerator enumerator(model_, p.prefix, sopts, p.mask,
+  search::OrderedEnumerator enumerator(model_, p.prefix, sopts, p.allowed,
                                        hit ? hit.state() : nullptr);
   std::vector<std::string> passwords;
   std::vector<double> log_probs;
@@ -481,7 +481,7 @@ void GuessService::execute_batch(gpt::InferenceSession& session,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     rngs.emplace_back(rows[i].req->seed,
                       "serve.row/" + std::to_string(rows[i].row_index));
-    draws[i] = {&rows[i].req->mask, &rngs[i]};
+    draws[i] = {&rows[i].req->allowed, &rngs[i]};
   }
   gpt::sample_rows(session, draws, cfg_.sample,
                    [&](std::size_t i, std::span<const int> generated) {

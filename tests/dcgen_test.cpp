@@ -412,5 +412,33 @@ TEST(DcGen, OrderedBudgetsChangeJournalFingerprint) {
   fs::remove_all(dir);
 }
 
+TEST(DcGen, DivisionBatchChangesJournalFingerprint) {
+  // A division group is taken from the back of its length bucket, so the
+  // batch size decides the order leaves are numbered in, and with it every
+  // sampled leaf's RNG stream. A journal written at one batch size must not
+  // be resumed at another: the run replans and returns what a fresh run at
+  // the new size returns.
+  const auto& m = shared_model();
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "ppg_dcgen_batch_journal";
+  fs::remove_all(dir);
+  DcGenConfig cfg;
+  cfg.total = 1500;
+  cfg.threshold = 30;
+  DcGenConfig one = cfg;
+  one.division_batch = 1;
+  const auto fresh_one = dc_generate(m.model(), m.patterns(), one, 12);
+  cfg.journal_dir = dir.string();
+  one.journal_dir = dir.string();
+  const auto batched = dc_generate(m.model(), m.patterns(), cfg, 12);
+  EXPECT_NE(batched, fresh_one);  // the knob is output-relevant
+  DcGenStats stats;
+  const auto resumed = dc_generate(m.model(), m.patterns(), one, 12, &stats);
+  EXPECT_FALSE(stats.resumed_plan);
+  EXPECT_EQ(stats.resumed_leaves, 0u);
+  EXPECT_EQ(resumed, fresh_one);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace ppg::core

@@ -124,13 +124,13 @@ Sampled run_sample(const gpt::GptModel& model, const SampleCase& c) {
   }
   gpt::SampleOptions opts;
   opts.batch_size = c.batch_size;
-  const gpt::LogitMask mask =
+  const gpt::AllowedTokens allowed =
       c.masked ? core::make_pattern_mask(*pcfg::parse_pattern("L4N2"))
-               : gpt::LogitMask{};
+               : gpt::AllowedTokens{};
   Rng rng(11);
   Sampled out;
-  out.guesses = gpt::sample_passwords(model, prefix, c.count, rng, opts, mask,
-                                      &out.stats,
+  out.guesses = gpt::sample_passwords(model, prefix, c.count, rng, opts,
+                                      allowed, &out.stats,
                                       c.resumed ? &resume : nullptr);
   return out;
 }
@@ -154,13 +154,12 @@ pcfg::PatternDistribution dcgen_patterns() {
   return dist;
 }
 
-std::uint64_t dcgen_digest(const gpt::GptModel& model, bool kv_cache,
-                           std::size_t cache_bytes, int threads) {
+std::uint64_t dcgen_digest(const gpt::GptModel& model, std::size_t cache_bytes,
+                           int threads) {
   core::DcGenConfig cfg;
   cfg.total = 1200;
   cfg.threshold = 25;
   cfg.sample.batch_size = 32;
-  cfg.kv_cache = kv_cache;
   cfg.kv_cache_bytes = cache_bytes;
   cfg.threads = threads;
   core::DcGenStats stats;
@@ -309,16 +308,16 @@ TEST_F(DecodeGoldenTest, SamplePasswordsMatchesRecordedDigests) {
 
 TEST_F(DecodeGoldenTest, SampledDcGenMatchesRecordedDigest) {
   const Golden* golden = golden_for(build_flavour());
-  const std::uint64_t want = dcgen_digest(*model_, false, 0, 1);
+  const std::uint64_t want = dcgen_digest(*model_, 0, 1);
   std::printf("  dcgen 0x%016llxull\n", static_cast<unsigned long long>(want));
   for (const int threads : {1, 4}) {
     for (const std::size_t budget : {std::size_t(32) << 20, std::size_t(1)}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " budget=" + std::to_string(budget));
-      EXPECT_EQ(dcgen_digest(*model_, true, budget, threads), want);
+      EXPECT_EQ(dcgen_digest(*model_, budget, threads), want);
     }
   }
-  EXPECT_EQ(dcgen_digest(*model_, false, 0, 4), want);
+  EXPECT_EQ(dcgen_digest(*model_, 0, 4), want);
   if (golden != nullptr) {
     EXPECT_EQ(want, golden->dcgen);
   } else {

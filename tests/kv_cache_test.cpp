@@ -365,13 +365,14 @@ core::DcGenConfig diff_config() {
 // The tentpole differential: for every seed × thread count × budget, the
 // cached run must be byte-identical (same strings, same order) to the
 // uncached single-threaded baseline. Budgets cover the unbounded case, a
-// tiny budget that forces eviction mid-run, and zero (evict-on-insert).
+// tiny budget that forces eviction mid-run, and one byte (evict-on-insert;
+// a zero budget means no cache at all).
 TEST(DcGenKvCacheDifferential, CachedMatchesUncachedBitwise) {
   const auto& model = test_model();
   const auto& patterns = test_patterns();
   for (const std::uint64_t seed : {1ull, 2ull}) {
     core::DcGenConfig base = diff_config();
-    base.kv_cache = false;
+    base.kv_cache_bytes = 0;
     base.threads = 1;
     core::DcGenStats base_stats;
     const auto want =
@@ -381,9 +382,8 @@ TEST(DcGenKvCacheDifferential, CachedMatchesUncachedBitwise) {
 
     for (const int threads : {1, 4}) {
       for (const std::size_t budget :
-           {std::size_t(1) << 30, std::size_t(4096), std::size_t(0)}) {
+           {std::size_t(1) << 30, std::size_t(4096), std::size_t(1)}) {
         core::DcGenConfig cfg = diff_config();
-        cfg.kv_cache = true;
         cfg.kv_cache_bytes = budget;
         cfg.threads = threads;
         core::DcGenStats stats;
@@ -400,10 +400,10 @@ TEST(DcGenKvCacheDifferential, CacheSavesPrefillWork) {
   const auto& model = test_model();
   const auto& patterns = test_patterns();
   core::DcGenConfig cfg = diff_config();
-  cfg.kv_cache = false;
+  cfg.kv_cache_bytes = 0;
   core::DcGenStats off;
   core::dc_generate(model, patterns, cfg, 7, &off);
-  cfg.kv_cache = true;
+  cfg.kv_cache_bytes = core::DcGenConfig{}.kv_cache_bytes;
   core::DcGenStats on;
   core::dc_generate(model, patterns, cfg, 7, &on);
   EXPECT_EQ(off.prefill_saved, 0u);

@@ -2,64 +2,15 @@
 // intrinsics (_mm*/__m*/immintrin.h) may appear only inside the
 // src/nn/kernels_* backend implementation files; everything else must go
 // through the dispatched nn/kernels.h wrappers so the cross-backend
-// differential harness covers every vector path (DESIGN.md §15). Same
-// harness shape as lint_lock_rules_test: the just-built lint binary over
-// a throwaway tree.
-#include <sys/wait.h>
-
-#include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <string>
+// differential harness covers every vector path (DESIGN.md §15). Runs on
+// the shared throwaway-tree harness (lint_fixture.h).
+#include "lint_fixture.h"
 
 namespace {
 
-namespace fs = std::filesystem;
+using ppg::testing::LintRun;
 
-struct LintRun {
-  int exit_code = -1;
-  std::string output;
-};
-
-class LintIntrinsicsTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) /
-            ("ppg_lint_intrin_" + std::string(::testing::UnitTest::GetInstance()
-                                                  ->current_test_info()
-                                                  ->name()));
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-  }
-  void TearDown() override { fs::remove_all(root_); }
-
-  void write_file(const std::string& rel, const std::string& body) {
-    const fs::path p = root_ / rel;
-    fs::create_directories(p.parent_path());
-    std::ofstream out(p);
-    out << body;
-    ASSERT_TRUE(out.good()) << rel;
-  }
-
-  LintRun run_lint() {
-    const fs::path out_path = root_ / "lint_output.txt";
-    const std::string cmd = std::string(PPG_LINT_BIN) + " --root " +
-                            root_.string() + " > " + out_path.string() +
-                            " 2>&1";
-    const int rc = std::system(cmd.c_str());
-    LintRun run;
-    run.exit_code = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
-    std::ifstream in(out_path);
-    run.output.assign(std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>());
-    return run;
-  }
-
-  fs::path root_;
-};
+class LintIntrinsicsTest : public ppg::testing::LintFixture {};
 
 TEST_F(LintIntrinsicsTest, FiresOnIntrinsicsOutsideBackendFiles) {
   write_file("src/gpt/fastpath.cpp",

@@ -1,63 +1,15 @@
 // Golden-fixture tests for ppg_lint's blocking-socket-no-timeout rule: in
 // src/serve and src/fleet a blocking socket read primitive must sit within
 // two lines of a deadline/timeout token, or carry a waiver naming what
-// bounds the wait. Same throwaway-tree harness as the lock-rule fixtures.
-#include <sys/wait.h>
-
-#include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <string>
+// bounds the wait. Runs on the shared throwaway-tree harness
+// (lint_fixture.h).
+#include "lint_fixture.h"
 
 namespace {
 
-namespace fs = std::filesystem;
+using ppg::testing::LintRun;
 
-struct LintRun {
-  int exit_code = -1;
-  std::string output;
-};
-
-class LintSocketTimeoutTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) /
-            ("ppg_lint_socket_fixture_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-  }
-  void TearDown() override { fs::remove_all(root_); }
-
-  void write_file(const std::string& rel, const std::string& body) {
-    const fs::path p = root_ / rel;
-    fs::create_directories(p.parent_path());
-    std::ofstream out(p);
-    out << body;
-    ASSERT_TRUE(out.good()) << rel;
-  }
-
-  LintRun run_lint() {
-    const fs::path out_path = root_ / "lint_output.txt";
-    const std::string cmd = std::string(PPG_LINT_BIN) + " --root " +
-                            root_.string() + " > " + out_path.string() +
-                            " 2>&1";
-    const int rc = std::system(cmd.c_str());
-    LintRun run;
-    run.exit_code = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
-    std::ifstream in(out_path);
-    run.output.assign(std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>());
-    return run;
-  }
-
-  fs::path root_;
-};
+class LintSocketTimeoutTest : public ppg::testing::LintFixture {};
 
 TEST_F(LintSocketTimeoutTest, FiresOnUntimedReadInServe) {
   write_file("src/serve/conn.cpp",

@@ -170,6 +170,10 @@ TEST(Json, ValidatorAcceptsAndRejects) {
   EXPECT_FALSE(validate_json("{'k':1}"));
   EXPECT_FALSE(validate_json("nul"));
   EXPECT_FALSE(validate_json("\"unterminated"));
+  // A high surrogate needs a low one after it.
+  EXPECT_TRUE(validate_json("\"\\ud83d\\ude00\""));
+  EXPECT_FALSE(validate_json("\"\\ud800\""));
+  EXPECT_FALSE(validate_json("\"\\ud800\\u0041\""));
 }
 
 TEST(JsonParse, ParsesScalarsAndContainers) {
@@ -218,7 +222,7 @@ TEST(JsonParse, RejectsWhatTheValidatorRejects) {
         "\"unterminated", "\"bad \\u12 escape\"", "+1"}) {
     std::string error;
     EXPECT_FALSE(parse_json(bad, &error).has_value()) << bad;
-    EXPECT_FALSE(validate_json(bad)) << bad;  // parser and validator agree
+    EXPECT_FALSE(validate_json(bad)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
 }

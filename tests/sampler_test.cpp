@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -13,13 +14,21 @@ namespace {
 
 using tok::Tokenizer;
 
+/// Samples among every token of a short `logits` row.
+int sample_any(std::span<const float> logits, Rng& rng,
+               const SampleOptions& opts) {
+  std::vector<int> all(logits.size());
+  std::iota(all.begin(), all.end(), 0);
+  return sample_from_logits(logits, all, rng, opts);
+}
+
 TEST(SampleFromLogits, GreedyAtLowTemperature) {
   const std::vector<float> logits = {0.f, 5.f, 1.f, -2.f};
   SampleOptions opts;
   opts.temperature = 0.01f;
   Rng rng(1);
   for (int i = 0; i < 50; ++i)
-    EXPECT_EQ(sample_from_logits(logits, rng, opts), 1);
+    EXPECT_EQ(sample_any(logits, rng, opts), 1);
 }
 
 TEST(SampleFromLogits, FollowsDistributionAtUnitTemperature) {
@@ -30,7 +39,7 @@ TEST(SampleFromLogits, FollowsDistributionAtUnitTemperature) {
   int zero = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i)
-    if (sample_from_logits(logits, rng, opts) == 0) ++zero;
+    if (sample_any(logits, rng, opts) == 0) ++zero;
   EXPECT_NEAR(double(zero) / n, 0.75, 0.02);
 }
 
@@ -40,7 +49,7 @@ TEST(SampleFromLogits, TopKRestricts) {
   opts.top_k = 2;
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
-    const int s = sample_from_logits(logits, rng, opts);
+    const int s = sample_any(logits, rng, opts);
     EXPECT_TRUE(s == 0 || s == 1) << s;
   }
 }
@@ -52,23 +61,54 @@ TEST(SampleFromLogits, TopPRestrictsToNucleus) {
   opts.top_p = 0.9;
   Rng rng(4);
   for (int i = 0; i < 200; ++i)
-    EXPECT_EQ(sample_from_logits(logits, rng, opts), 0);
+    EXPECT_EQ(sample_any(logits, rng, opts), 0);
 }
 
 TEST(SampleFromLogits, MaskedTokensNeverSampled) {
-  std::vector<float> logits = {5.f, 4.f, 3.f};
-  logits[0] = -1e30f;
+  // Token 0 has the largest logit but is not listed.
+  const std::vector<float> logits = {5.f, 4.f, 3.f};
+  const std::vector<int> allowed = {1, 2};
   SampleOptions opts;
   Rng rng(5);
-  for (int i = 0; i < 200; ++i)
-    EXPECT_NE(sample_from_logits(logits, rng, opts), 0);
+  for (const float temperature : {1.f, 20.f}) {
+    opts.temperature = temperature;
+    for (int i = 0; i < 200; ++i)
+      EXPECT_NE(sample_from_logits(logits, allowed, rng, opts), 0);
+  }
 }
 
 TEST(SampleFromLogits, AllMaskedReturnsSentinel) {
-  const std::vector<float> logits = {-1e30f, -1e30f};
+  // An empty list draws nothing, at any temperature.
+  const std::vector<float> logits = {0.5f, 1.f, 2.f};
   SampleOptions opts;
   Rng rng(6);
-  EXPECT_EQ(sample_from_logits(logits, rng, opts), -1);
+  for (const float temperature : {1.f, 20.f}) {
+    opts.temperature = temperature;
+    EXPECT_EQ(sample_from_logits(logits, {}, rng, opts), -1);
+  }
+}
+
+TEST(SampleRows, NullTableDrawsLikeEmptyTable) {
+  // A row left without a table draws from every token, exactly as a row
+  // pointing at an empty table does.
+  const GptModel m(Config::tiny(), 19);
+  const std::vector<int> prefix = {Tokenizer::kBos};
+  const AllowedTokens empty;
+  std::vector<std::vector<int>> drawn[2];
+  for (int run = 0; run < 2; ++run) {
+    InferenceSession session(m);
+    session.prefill(std::vector<PrefillRow>(3, PrefillRow{prefix}));
+    Rng rng(20);
+    std::vector<SampleRow> rows(3);
+    for (SampleRow& row : rows) row = {run == 0 ? nullptr : &empty, &rng};
+    drawn[run].resize(rows.size());
+    sample_rows(session, rows, {},
+                [&](std::size_t i, std::span<const int> generated) {
+                  drawn[run][i].assign(generated.begin(), generated.end());
+                });
+  }
+  EXPECT_EQ(drawn[0], drawn[1]);
+  for (const auto& tokens : drawn[0]) EXPECT_FALSE(tokens.empty());
 }
 
 TEST(SamplePasswords, ReturnsRequestedCount) {
@@ -78,7 +118,7 @@ TEST(SamplePasswords, ReturnsRequestedCount) {
   SampleOptions opts;
   opts.batch_size = 16;
   SampleStats stats;
-  const auto pws = sample_passwords(m, prefix, 40, rng, opts, nullptr, &stats);
+  const auto pws = sample_passwords(m, prefix, 40, rng, opts, {}, &stats);
   // An untrained model emits mostly-invalid sequences; the budget may stop
   // short, but whatever is returned must decode to nonempty strings.
   EXPECT_LE(pws.size(), 40u);
@@ -160,7 +200,7 @@ TEST(SamplePasswords, StatsCountInvalids) {
   Rng rng(17);
   const std::vector<int> prefix = {Tokenizer::kBos};
   SampleStats stats;
-  sample_passwords(m, prefix, 20, rng, {}, nullptr, &stats);
+  sample_passwords(m, prefix, 20, rng, {}, {}, &stats);
   EXPECT_GT(stats.sequences_run, 0u);
 }
 

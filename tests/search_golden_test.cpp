@@ -6,15 +6,20 @@
 // hashes its (password, log-prob bits) stream and its stats, so a change
 // to the frontier, its tie-break or its budget trimming that moves one
 // guess, one bit or one dropped node fails here. One ordered D&C-GEN run
-// covers the leaf integration.
+// covers the leaf integration. The tiny fixture's logits are nearly flat,
+// so the scoring arithmetic is also pinned on its own: gpt::masked_log_probs
+// over the shared token lists on rows of widely spread logits, whose
+// digest was recorded from the full-row scorer of sentinel-masked rows
+// that the per-step lists replaced.
 //
 // Log-prob bits depend on how the compiler may reorder floating-point
 // work (-ffast-math, the SIMD width -march=native vectorizes with), so
 // the table is keyed by build flavour. A flavour with no recorded table
 // skips the digest comparison and prints its digests instead; the
-// behavioural checks still run. The file uses only the enumerator's
-// public API and keeps its own helpers, so the same body can be built
-// against an older tree to record a new flavour's digests.
+// behavioural checks still run. The file uses only public API and keeps
+// its own helpers, so the same body can be built against an older tree to
+// record a new flavour's digests (without the score pin before
+// gpt::masked_log_probs existed).
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -26,9 +31,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/dcgen.h"
 #include "core/masks.h"
 #include "gpt/kv_cache.h"
+#include "gpt/sampler.h"
 #include "pcfg/pattern.h"
 #include "pcfg/pcfg_model.h"
 #include "search/ordered.h"
@@ -81,24 +88,22 @@ std::string build_flavour() {
   return f;
 }
 
-/// Steps 0..max_len-1 allow {'a','b',<EOS>}; later steps only <EOS>.
-gpt::LogitMask ab_mask(int max_len) {
-  const int a = Tokenizer::char_token('a');
-  const int b = Tokenizer::char_token('b');
-  return [a, b, max_len](gpt::Index step, std::span<float> logits) {
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-      const int id = static_cast<int>(i);
-      const bool ok = id == Tokenizer::kEos ||
-                      (step < max_len && (id == a || id == b));
-      if (!ok) logits[i] = -1e30f;
-    }
-  };
+/// Steps 0..max_len-1 allow {<EOS>,'a','b'}; later steps only <EOS>.
+gpt::AllowedTokens ab_mask(int max_len) {
+  static const std::vector<int> ab = {Tokenizer::kEos,
+                                      Tokenizer::char_token('a'),
+                                      Tokenizer::char_token('b')};
+  static const std::vector<int> eos = {Tokenizer::kEos};
+  gpt::AllowedTokens allowed;
+  allowed.steps.assign(static_cast<std::size_t>(max_len), ab);
+  allowed.steps.push_back(eos);
+  return allowed;
 }
 
 struct MaskCase {
   const char* name;
   std::vector<int> prefix;
-  gpt::LogitMask mask;
+  gpt::AllowedTokens mask;
 };
 
 std::vector<MaskCase> mask_cases() {
@@ -177,11 +182,38 @@ std::uint64_t ordered_dcgen_digest(const gpt::GptModel& model) {
   return d.h;
 }
 
+/// gpt::masked_log_probs over every shared list (and ab_mask's) on rows of
+/// logits spread uniformly over [-8, 8), all scores hashed bit for bit.
+std::uint64_t score_digest() {
+  const core::ClassTokenSets& sets = core::ClassTokenSets::instance();
+  const std::vector<int> ab = {Tokenizer::kEos, Tokenizer::char_token('a'),
+                               Tokenizer::char_token('b')};
+  const std::span<const int> lists[] = {sets.letter, sets.digit,
+                                        sets.special, sets.eos, ab,
+                                        gpt::AllowedTokens::every()};
+  Rng rng(5);
+  std::vector<float> logits(Tokenizer::kVocabSize);
+  std::vector<double> scores;
+  Digest d;
+  for (int row = 0; row < 256; ++row) {
+    for (float& l : logits)
+      l = static_cast<float>(static_cast<int>(rng.uniform_u64(1u << 16)) -
+                             (1 << 15)) /
+          4096.f;
+    for (const std::span<const int> list : lists) {
+      gpt::masked_log_probs(logits, list, scores);
+      for (const double score : scores) d.add(score);
+    }
+  }
+  return d.h;
+}
+
 struct Golden {
   const char* flavour;
   /// mask_cases() x budget_cases(), row-major: {guesses, stats}.
   std::uint64_t runs[8][2];
   std::uint64_t dcgen;
+  std::uint64_t scores;  ///< score_digest()
 };
 
 // Recorded with the per-node-sequence enumerator; see the file comment.
@@ -196,7 +228,7 @@ constexpr Golden kGoldens[] = {
       {0xcdf7d40c58751b91ull, 0x723db0ef771a2795ull},  // N2/tiny
       {0x9346c84da111b68bull, 0x9af83bbaaf0a1037ull},  // N2/overflow
       {0xcbf29ce484222325ull, 0x1c27dbe918412a33ull}},  // N2/capped
-     0x7365ce4abf0d9205ull},
+     0x7365ce4abf0d9205ull, 0x235a02843596c864ull},
     // The same flags on an AVX2 host (recorded with -march=x86-64-v3).
     {"gcc/fast-math/avx2",
      {{0xc870fbfe0c9149caull, 0xc64426f431f024b3ull},  // ab/roomy
@@ -207,7 +239,7 @@ constexpr Golden kGoldens[] = {
       {0x665b4b2d920c47eeull, 0x858e48249a23e0d1ull},  // N2/tiny
       {0xd2d9a461c429003bull, 0x44c82c65ddf34179ull},  // N2/overflow
       {0xcbf29ce484222325ull, 0x4a178a81bdfa10e1ull}},  // N2/capped
-     0x7365ce4abf0d9205ull},
+     0x7365ce4abf0d9205ull, 0x50fe1130f194f3efull},
     // Sanitizer builds: no -ffast-math, no -march=native.
     {"gcc/strict/baseline",
      {{0x262883f88c1b05eeull, 0xc64426f431f024b3ull},  // ab/roomy
@@ -218,7 +250,7 @@ constexpr Golden kGoldens[] = {
       {0xa46be88baa89fc58ull, 0x7049d106eef2548aull},  // N2/tiny
       {0x6c993840a0ee1a64ull, 0x10f13c8fac9ed652ull},  // N2/overflow
       {0xcbf29ce484222325ull, 0x788494c5215cc320ull}},  // N2/capped
-     0x7365ce4abf0d9205ull},
+     0x7365ce4abf0d9205ull, 0x62ce1f86dbbde762ull},
 };
 
 const Golden* golden_for(const std::string& flavour) {
@@ -278,6 +310,17 @@ TEST_F(SearchGoldenTest, OrderedOutputMatchesRecordedDigests) {
   } else {
     GTEST_SKIP() << "no digests recorded for build flavour " << flavour;
   }
+}
+
+TEST_F(SearchGoldenTest, ScoresMatchRecordedDigestOnSpreadLogits) {
+  const std::string flavour = build_flavour();
+  const Golden* golden = golden_for(flavour);
+  const std::uint64_t scores = score_digest();
+  std::printf("  scores 0x%016llxull\n",
+              static_cast<unsigned long long>(scores));
+  if (golden == nullptr)
+    GTEST_SKIP() << "no digests recorded for build flavour " << flavour;
+  EXPECT_EQ(scores, golden->scores);
 }
 
 // Children share their parent's pin, so an enumeration walks the trie once

@@ -35,20 +35,29 @@ using search::OrderedOptions;
 using search::ScoredGuess;
 using tok::Tokenizer;
 
-/// Mask for the brute-force universe: steps 0..max_len-1 allow {'a','b',
-/// <EOS>}, later steps allow only <EOS>. Keeps the reachable set finite
+/// Table for the brute-force universe: steps 0..max_len-1 allow {<EOS>,
+/// 'a','b'}, later steps allow only <EOS>. Keeps the reachable set finite
 /// (2^1 + ... + 2^max_len strings) so exhaustive scoring is cheap.
-gpt::LogitMask ab_mask(int max_len) {
-  const int a = Tokenizer::char_token('a');
-  const int b = Tokenizer::char_token('b');
-  return [a, b, max_len](gpt::Index step, std::span<float> logits) {
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-      const int id = static_cast<int>(i);
-      const bool ok = id == Tokenizer::kEos ||
-                      (step < max_len && (id == a || id == b));
-      if (!ok) logits[i] = -1e30f;
-    }
-  };
+gpt::AllowedTokens ab_mask(int max_len) {
+  static const std::vector<int> ab = {Tokenizer::kEos,
+                                      Tokenizer::char_token('a'),
+                                      Tokenizer::char_token('b')};
+  static const std::vector<int> eos = {Tokenizer::kEos};
+  gpt::AllowedTokens allowed;
+  allowed.steps.assign(static_cast<std::size_t>(max_len), ab);
+  allowed.steps.push_back(eos);
+  return allowed;
+}
+
+/// log P(token) under gpt::masked_log_probs over `allowed`: -inf for a
+/// token outside the list, which is never scored.
+double allowed_log_prob(std::span<const float> logits,
+                        std::span<const int> allowed, int token) {
+  std::vector<double> lps;
+  gpt::masked_log_probs(logits, allowed, lps);
+  const auto it = std::find(allowed.begin(), allowed.end(), token);
+  if (it == allowed.end()) return -std::numeric_limits<double>::infinity();
+  return lps[static_cast<std::size_t>(it - allowed.begin())];
 }
 
 struct Ranked {
@@ -58,20 +67,17 @@ struct Ranked {
 };
 
 /// Scores one candidate sequence with the enumerator's exact arithmetic:
-/// walk the chain, mask each logit row, accumulate masked_log_probs terms
-/// left to right in double.
+/// walk the chain, score each step's allowed list with masked_log_probs,
+/// accumulate the terms left to right in double.
 double score_chain(const gpt::GptModel& model, std::span<const int> prefix,
-                   std::span<const int> rest, const gpt::LogitMask& mask) {
+                   std::span<const int> rest, const gpt::AllowedTokens& mask) {
   gpt::InferenceSession session(model);
   session.reset(1);
   for (int t : prefix) session.step(std::span<const int>(&t, 1));
   double logp = 0.0;
-  std::vector<float> row;
   for (std::size_t i = 0; i < rest.size(); ++i) {
-    const auto logits = session.logits_row(0);
-    row.assign(logits.begin(), logits.end());
-    mask(static_cast<gpt::Index>(i), row);
-    logp += search::masked_log_probs(row)[static_cast<std::size_t>(rest[i])];
+    logp += allowed_log_prob(session.logits_row(0),
+                             mask.at(static_cast<gpt::Index>(i)), rest[i]);
     if (i + 1 < rest.size()) {
       int t = rest[i];
       session.step(std::span<const int>(&t, 1));
@@ -86,7 +92,7 @@ double score_chain(const gpt::GptModel& model, std::span<const int> prefix,
 std::vector<Ranked> brute_force_ranking(const gpt::GptModel& model,
                                         const std::vector<int>& prefix,
                                         int max_len) {
-  const gpt::LogitMask mask = ab_mask(max_len);
+  const gpt::AllowedTokens mask = ab_mask(max_len);
   const std::vector<int> alphabet = {Tokenizer::char_token('a'),
                                      Tokenizer::char_token('b')};
   std::vector<Ranked> all;
@@ -341,17 +347,25 @@ TEST_F(SearchTest, BudgetTruncationIsHonestAndLeaksNoPins) {
 }
 
 TEST_F(SearchTest, MaskedLogProbsNormalizes) {
-  std::vector<float> logits = {1.0f, -1e30f, 0.5f, -2.0f};
-  const auto lps = search::masked_log_probs(logits);
-  EXPECT_EQ(lps[1], -std::numeric_limits<double>::infinity());
+  // Token 1 has the largest logit but is not listed: it is never scored,
+  // and the listed tokens renormalise among themselves.
+  const std::vector<float> logits = {1.0f, 9.0f, 0.5f, -2.0f};
+  const std::vector<int> allowed = {0, 2, 3};
+  std::vector<double> lps;
+  gpt::masked_log_probs(logits, allowed, lps);
+  ASSERT_EQ(lps.size(), allowed.size());
   double mass = 0.0;
-  for (double lp : lps)
-    if (lp != -std::numeric_limits<double>::infinity()) mass += std::exp(lp);
+  for (double lp : lps) mass += std::exp(lp);
   EXPECT_NEAR(mass, 1.0, 1e-12);
-  // All-masked rows yield no children rather than NaNs.
-  std::vector<float> dead = {-1e30f, -1e30f};
-  for (double lp : search::masked_log_probs(dead))
-    EXPECT_EQ(lp, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(allowed_log_prob(logits, allowed, 1),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(allowed_log_prob(logits, allowed, 2), lps[1]);
+  // An empty list scores nothing (no children, no NaNs): every token -inf.
+  gpt::masked_log_probs(logits, {}, lps);
+  EXPECT_TRUE(lps.empty());
+  for (int t = 0; t < 4; ++t)
+    EXPECT_EQ(allowed_log_prob(logits, {}, t),
+              -std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

@@ -85,6 +85,14 @@
 //                       the fleet's liveness story (DESIGN.md §16) depends
 //                       on every wait being either bounded or killable by
 //                       supervision (waive with a comment naming which).
+//   logit-sentinel      in src/gpt, src/search, src/core and src/serve,
+//                       pattern conformance is a per-step allowed-token
+//                       list (gpt::AllowedTokens) that sampling and scoring
+//                       read directly: no LogitMask hook overwriting logits
+//                       with a sentinel, no -1e29 "masked" threshold. A
+//                       -1e30 sentinel scaled by 1/T passes that threshold
+//                       once T > 10, so a fully masked row drew a token.
+//                       (-1e30f seeding a running max stays legal.)
 //
 // A finding on one specific line can be waived in place with a trailing
 //   // ppg-lint: allow(<rule-name>) <why>
@@ -239,6 +247,16 @@ const std::vector<Rule> kRules = {
      {},
      {"Deadline", "idle_timeout_ms", "heartbeat_timeout_ms", "timeout_ms",
       "poll_timeout_ms"}},
+    {"logit-sentinel",
+     {"LogitMask", "1e29"},
+     "pattern conformance is a per-step allowed-token list "
+     "(gpt::AllowedTokens) that sampling and scoring read directly — no "
+     "logit-overwriting mask and no -1e29 masked-logit threshold (a -1e30 "
+     "sentinel scaled by 1/T passes it once T > 10)",
+     {"src/gpt/", "src/search/", "src/core/", "src/serve/"},
+     {},
+     {},
+     {}},
     // Custom brace-depth pass (see scan_blocking_under_lock): `needles`
     // here are the blocking calls, not line-match needles.
     {"blocking-under-lock",
