@@ -1,7 +1,7 @@
 // Microbenchmarks of the nn/gpt substrate (google-benchmark): GEMM kernels,
 // the decode-shape projections (row-major vs column-panel), fused
-// attention forward+backward, full training steps, and decode throughput
-// of the KV-cache inference path.
+// attention forward+backward, full training steps, decode throughput of
+// the KV-cache inference path, and its attention alone.
 //
 // `--track-dir=DIR` (consumed before google-benchmark sees argv) appends
 // one perf-trajectory record to DIR/BENCH_micro_nn.json with every
@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "gpt/attention.h"
 #include "gpt/infer.h"
 #include "gpt/model.h"
 #include "nn/backend.h"
@@ -207,6 +209,49 @@ void register_decode_cells(nn::BackendKind kind, const std::string& suffix) {
   }
 }
 
+/// Decode attention cells: one row's attention at one layer of the small
+/// (d32, 4 heads of 8) and paper (d256, 8 heads of 32) models, at position
+/// 7 or 31, by the kernel gpt::attend and by its reference loop. Neither
+/// goes through the backend table: both follow the build's own vector
+/// width. Named BM_DecodeAttention<Kernel|Reference>_<model>/<pos>;
+/// items/sec counts the cached positions attended.
+void register_attention_cells() {
+  for (const auto& [model, cfg] :
+       {std::pair{"small", gpt::Config::small()},
+        std::pair{"paper", gpt::Config::paper()}}) {
+    const gpt::AttentionShape shape{cfg.d_model, cfg.n_heads, cfg.context};
+    for (const bool kernel : {true, false}) {
+      const std::string name = std::string("BM_DecodeAttention") +
+                               (kernel ? "Kernel_" : "Reference_") + model;
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [shape, kernel](benchmark::State& state) {
+            const auto pos = static_cast<nn::Index>(state.range(0));
+            Rng rng(static_cast<std::uint64_t>(pos) + 1);
+            std::vector<float> q(shape.d), k(shape.context * shape.d);
+            std::vector<float> v(k.size());
+            for (std::vector<float>* x : {&q, &k, &v})
+              for (float& f : *x) f = rng.uniform_f() * 8.f - 4.f;
+            std::vector<float> scores(shape.heads * shape.context);
+            std::vector<float> out(shape.d);
+            for (auto _ : state) {
+              if (kernel)
+                gpt::attend(shape, q.data(), k.data(), v.data(), pos,
+                            scores.data(), out.data());
+              else
+                gpt::attend_reference(shape, q.data(), k.data(), v.data(),
+                                      pos, scores.data(), out.data());
+              benchmark::DoNotOptimize(out.data());
+              benchmark::ClobberMemory();
+            }
+            state.SetItemsProcessed(state.iterations() * (pos + 1));
+          })
+          ->Arg(7)
+          ->Arg(31);
+    }
+  }
+}
+
 /// Per-backend variants, registered at startup for whatever tables this
 /// machine can run (scalar always; avx2/avx512 when the CPU has them).
 /// Names carry the backend (BM_GemmNN_avx2/128) so the perf trajectory
@@ -328,6 +373,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&fwd_argc, fwd.data());
   if (benchmark::ReportUnrecognizedArguments(fwd_argc, fwd.data())) return 1;
   register_backend_benchmarks();
+  register_attention_cells();
 
   TrackingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -118,8 +118,9 @@ struct DcGenStats {
   std::size_t dropped = 0;      ///< subtasks below min_task
   std::size_t forced = 0;       ///< fully-determined prefixes emitted directly
   double capacity_capped = 0;   ///< guesses saved by the capacity cap
-  /// Prefix positions fed through the model during division priming and
-  /// leaf prefill (the work the KV cache exists to avoid).
+  /// Prefix positions, summed over rows, that division priming and leaf
+  /// prefill did not restore from a snapshot (what the KV cache exists to
+  /// avoid; model work is infer.tokens, where a leaf's rows step once).
   std::size_t prefill_tokens = 0;
   /// Prefix positions restored from cached KV states instead of computed.
   std::size_t prefill_saved = 0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "gpt/attention.h"
 #include "gpt/sampler.h"
 #include "nn/kernels.h"
 #include "obs/metrics.h"
@@ -147,8 +148,7 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
     for (Index k = 0; k < d; ++k) xr[k] = te[k] + pe[k];
   }
 
-  if (scores_.size() < static_cast<std::size_t>(c.context))
-    scores_.resize(static_cast<std::size_t>(c.context));
+  scores_.resize(static_cast<std::size_t>(c.n_heads * c.context));
   // With every row fed the activation rows are the session rows, so the
   // lm_head writes logits_ in place; otherwise it writes compact rows that
   // are scattered to their owners, leaving the idle rows' logits alone.
@@ -175,10 +175,9 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
 template <class M>
 void InferenceSession::forward(const DerivedWeights<M>& w, float* logits) {
   const Config& c = model_->config();
-  const Index d = c.d_model, heads = c.n_heads, dh = d / heads;
+  const Index d = c.d_model;
   const Index m = static_cast<Index>(live_.size());
-  const float scale = 1.f / std::sqrt(static_cast<float>(dh));
-  float* const scores = scores_.data();
+  const AttentionShape shape{d, c.n_heads, c.context};
   for (Index l = 0; l < c.n_layers; ++l) {
     const Block& blk = model_->blocks()[static_cast<std::size_t>(l)];
     const BlockWeights<M>& wb = w.blocks[static_cast<std::size_t>(l)];
@@ -194,38 +193,11 @@ void InferenceSession::forward(const DerivedWeights<M>& w, float* logits) {
       // Row r's slot: positions [0, pos] of its own sequence.
       float* const kslot = kc + r * c.context * d;
       float* const vslot = vc + r * c.context * d;
-      const float* krow = qkv_.data() + i * 3 * d + d;
-      const float* vrow = qkv_.data() + i * 3 * d + 2 * d;
-      for (Index j = 0; j < d; ++j) {
-        kslot[pos * d + j] = krow[j];
-        vslot[pos * d + j] = vrow[j];
-      }
       const float* q = qkv_.data() + i * 3 * d;
-      float* out = att_.data() + i * d;
-      for (Index hh = 0; hh < heads; ++hh) {
-        const float* qh = q + hh * dh;
-        float mx = -1e30f;
-        for (Index s = 0; s <= pos; ++s) {
-          const float* kh = kslot + s * d + hh * dh;
-          float acc = 0.f;
-          for (Index j = 0; j < dh; ++j) acc += qh[j] * kh[j];
-          scores[s] = acc * scale;
-          mx = std::max(mx, scores[s]);
-        }
-        float z = 0.f;
-        for (Index s = 0; s <= pos; ++s) {
-          scores[s] = std::exp(scores[s] - mx);
-          z += scores[s];
-        }
-        const float inv = 1.f / z;
-        float* oh = out + hh * dh;
-        for (Index j = 0; j < dh; ++j) oh[j] = 0.f;
-        for (Index s = 0; s <= pos; ++s) {
-          const float p = scores[s] * inv;
-          const float* vh = vslot + s * d + hh * dh;
-          for (Index j = 0; j < dh; ++j) oh[j] += p * vh[j];
-        }
-      }
+      const auto bytes = static_cast<std::size_t>(d) * sizeof(float);
+      std::memcpy(kslot + pos * d, q + d, bytes);
+      std::memcpy(vslot + pos * d, q + 2 * d, bytes);
+      attend(shape, q, kslot, vslot, pos, scores_.data(), att_.data() + i * d);
     }
     // x += proj(att)
     project(wb.proj, m, att_.data(), blk.proj.bias().data().data(), h_.data());
@@ -319,30 +291,65 @@ PrefillCounts InferenceSession::prefill(std::span<const PrefillRow> rows) {
   }
   obs::ScopedLatency latency(InferMetrics::get().prime_us);
   reset(static_cast<Index>(rows.size()));
+  // Adjacent rows with the same tokens span and state (a D&C-GEN leaf's
+  // rows, a served request's rows) would step identical floats: only the
+  // first of each run steps, and each later row copies the row before it.
+  // The ledger still counts every row's positions.
+  const auto repeats = [rows](std::size_t i) {
+    return i > 0 && rows[i].state == rows[i - 1].state &&
+           rows[i].tokens.data() == rows[i - 1].tokens.data() &&
+           rows[i].tokens.size() == rows[i - 1].tokens.size();
+  };
   PrefillCounts n;
   std::size_t longest = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const PrefillRow& r = rows[i];
-    if (r.state != nullptr) {
-      resume(static_cast<Index>(i), *r.state);
-      n.saved += static_cast<std::size_t>(r.state->len);
-    }
-    const std::size_t rest = r.tokens.size() - static_cast<std::size_t>(pos_[i]);
-    n.tokens += rest;
-    longest = std::max(longest, rest);
+    const std::size_t done =
+        r.state != nullptr ? static_cast<std::size_t>(r.state->len) : 0;
+    n.saved += done;
+    n.tokens += r.tokens.size() - done;
+    if (repeats(i)) continue;
+    if (r.state != nullptr) resume(static_cast<Index>(i), *r.state);
+    longest = std::max(longest, r.tokens.size() - done);
   }
   feed_.resize(rows.size());
   for (std::size_t t = 0; t < longest; ++t) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto p = static_cast<std::size_t>(pos_[i]);
-      feed_[i] = p < rows[i].tokens.size() ? rows[i].tokens[p] : kIdle;
+      feed_[i] = !repeats(i) && p < rows[i].tokens.size() ? rows[i].tokens[p]
+                                                          : kIdle;
     }
     step(feed_);
   }
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    if (repeats(i))
+      copy_row(static_cast<Index>(i) - 1, static_cast<Index>(i));
   KvCacheMetrics& kv = kv_cache_metrics();
   kv.prefill_tokens.inc(n.tokens);
   kv.prefill_saved.inc(n.saved);
   return n;
+}
+
+void InferenceSession::copy_row(Index from, Index to) {
+  const Config& c = model_->config();
+  const Index slot = c.context * c.d_model;
+  const auto f = static_cast<std::size_t>(from);
+  const auto t = static_cast<std::size_t>(to);
+  const auto bytes =
+      static_cast<std::size_t>(pos_[f] * c.d_model) * sizeof(float);
+  for (Index l = 0; l < c.n_layers; ++l) {
+    const auto li = static_cast<std::size_t>(l);
+    std::memcpy(kcache_[li].data() + to * slot,
+                kcache_[li].data() + from * slot, bytes);
+    std::memcpy(vcache_[li].data() + to * slot,
+                vcache_[li].data() + from * slot, bytes);
+  }
+  pos_[t] = pos_[f];
+  ready_[t] = ready_[f];
+  const auto vocab = static_cast<std::size_t>(c.vocab);
+  if (ready_[t])
+    std::memcpy(logits_.data() + t * vocab, logits_.data() + f * vocab,
+                vocab * sizeof(float));
 }
 
 std::span<const float> InferenceSession::prime(std::span<const int> prefix) {

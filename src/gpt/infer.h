@@ -12,6 +12,19 @@
 // compute while keeping its position and logits. A row's floats never
 // depend on which other rows share its step (see kv_cache.h), which is
 // what lets prefill() and the sampler's decode loop mix rows freely.
+//
+// Attention runs through gpt::attend (attention.h): all heads of a cached
+// position at once, in SIMD registers, with every float bitwise equal to
+// a per-(head, position) reference loop. That loop's sums are ordered
+// by how the compiler vectorises it, which depends on the build's vector
+// width (16 floats under AVX-512, 8 under AVX2), so the kernel reproduces
+// that order for the width it is compiled at; clang builds and builds
+// without AVX2 or -ffast-math (the sanitizer flavour) keep the loop.
+//
+// prefill() steps identical rows once: adjacent rows with the same tokens
+// span and the same state (a D&C-GEN leaf's rows, a served request's
+// rows) would compute the same floats, so the first of each run steps and
+// the rest copy its K/V, position and logits.
 #pragma once
 
 #include <span>
@@ -43,9 +56,10 @@ struct PrefillRow {
   const KvState* state = nullptr;
 };
 
-/// Positions one prefill() call restored and stepped (its prefill ledger).
+/// One prefill() call's ledger, summed over its rows. Model work is the
+/// infer.tokens counter: identical rows step once between them.
 struct PrefillCounts {
-  std::size_t tokens = 0;  ///< positions fed through step()
+  std::size_t tokens = 0;  ///< positions a snapshot did not restore
   std::size_t saved = 0;   ///< positions restored from snapshots
 };
 
@@ -82,7 +96,9 @@ class InferenceSession {
   /// Resets to rows.size() rows and brings every row to the end of its
   /// tokens: restores its state's positions, then steps the rest, each row
   /// at its own position (a row that is done sits out). A row whose state
-  /// covers all of its tokens gets the state's logits with no step.
+  /// covers all of its tokens gets the state's logits with no step. A row
+  /// with the same tokens span (data and size) and state as the row before
+  /// it copies that row's result instead of stepping.
   /// Afterwards logits_row(i) is the next-token distribution after row i's
   /// tokens. Throws std::invalid_argument for a row with no tokens or a
   /// state deeper than its tokens. Adds both counts to the kv_cache
@@ -124,6 +140,10 @@ class InferenceSession {
   /// Points the session at the model's current view for precision_.
   void bind_weights();
 
+  /// Gives row `to` row `from`'s K/V for positions [0, position(from)),
+  /// its position and its logits.
+  void copy_row(Index from, Index to);
+
   /// The layers, final layernorm and lm_head of one step over views `w`,
   /// for the rows in live_ (activation row j is session row live_[j]);
   /// writes their logits to `logits`, compact [live_.size(), vocab].
@@ -158,7 +178,7 @@ class InferenceSession {
   std::vector<float> x_, h_, qkv_, att_, ff_;
   std::vector<float> logits_;      ///< [batch, vocab], by session row
   std::vector<float> step_logits_; ///< compact logits when rows sit out
-  std::vector<float> scores_;  ///< attention-score scratch, one row
+  std::vector<float> scores_;  ///< attention scores, [heads, context]
   std::vector<int> feed_;      ///< prefill()'s per-step tokens
   // Int8 activation scratch (kInt8 only): quantized rows + their scales.
   std::vector<std::int8_t> qx_;

@@ -21,12 +21,14 @@
 //
 // Determinism contract: resuming from a cached KvState is bitwise
 // identical to re-priming the same prefix, because per-sequence float op
-// order is invariant to batch geometry (kernels.h gemm_nn accumulates
-// each output element in the same p-order in the 4-row-blocked and
-// remainder paths; layernorm, attention, and GELU are per-row). That holds
-// for which rows share a step, their positions, and rows sitting a step
-// out, so ragged batches decode each row exactly as it would run alone. A
-// cache hit therefore changes *where* the floats come from, never their
+// order is invariant to batch geometry (the decode projections,
+// kernels.h packed_affine or int8's per-row quantize and qaffine, compute
+// each output element in the same order whatever the row count;
+// layernorm, attention and GELU are per-row). That holds for which rows
+// share a step, their positions, and rows sitting a step out, so ragged
+// batches decode each row exactly as it would run alone, and prefill()
+// may step one of several identical rows and copy its state to the rest.
+// A cache hit therefore changes *where* the floats come from, never their
 // values — the differential suite in tests/kv_cache_test.cpp locks this
 // down across thread counts and eviction-forcing budgets, and
 // tests/decode_golden_test.cpp pins the sampled outputs themselves.
@@ -162,9 +164,9 @@ class KvTrieCache {
 
 /// Process-wide KV-cache metrics ("kv_cache.*" in the global registry):
 /// hit/miss/insert/eviction counters, resident- and evicted-bytes, and the
-/// prefill ledger (token positions InferenceSession::prefill computed vs
-/// restored) that bench_kv_cache reports. Registered once; updates are the
-/// registry's lock-free fast path.
+/// prefill ledger (the positions InferenceSession::prefill's rows did not
+/// and did restore from snapshots) that bench_kv_cache reports. Registered
+/// once; updates are the registry's lock-free fast path.
 struct KvCacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
@@ -172,7 +174,8 @@ struct KvCacheMetrics {
   obs::Counter& evictions;
   obs::Counter& evicted_bytes;
   obs::Gauge& bytes;
-  /// Prefill positions actually fed through step() by prefill().
+  /// Prefill positions, summed over rows, a snapshot did not restore.
+  /// Model work is infer.tokens: prefill() steps identical rows once.
   obs::Counter& prefill_tokens;
   /// Prefill positions prefill() restored from snapshots instead.
   obs::Counter& prefill_saved;

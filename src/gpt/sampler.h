@@ -51,7 +51,8 @@ struct SampleOptions {
 struct SampleStats {
   std::size_t sequences_run = 0;  ///< total sequences started
   std::size_t invalid = 0;        ///< undecodable or unterminated
-  /// Prefix positions fed through step() while priming batches.
+  /// Prefix positions, summed over rows, a snapshot did not restore (model
+  /// work is infer.tokens: a batch's identical rows step once).
   std::size_t prefill_tokens = 0;
   /// Prefix positions skipped by resuming from a cached KvState.
   std::size_t prefill_saved = 0;

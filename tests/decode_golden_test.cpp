@@ -280,6 +280,7 @@ class DecodeGoldenTest : public ::testing::Test {
 gpt::GptModel* DecodeGoldenTest::model_ = nullptr;
 
 TEST_F(DecodeGoldenTest, SamplePasswordsMatchesRecordedDigests) {
+  std::printf("build flavour %s\n", build_flavour().c_str());
   const Golden* golden = golden_for(build_flavour());
   const auto cases = sample_cases();
   ASSERT_EQ(cases.size(), std::size(kGoldens[0].sample));

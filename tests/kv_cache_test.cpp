@@ -340,6 +340,50 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
   EXPECT_THROW(ragged.prefill(too_deep), std::invalid_argument);
 }
 
+TEST(KvSessionResume, IdenticalPrefillRowsStepOnceAndMatchSoloRuns) {
+  // A D&C-GEN leaf's rows share one prefix span and one state. prefill()
+  // steps the first row of such a run and copies its K/V, position and
+  // logits to the others, so the model steps one row's remaining
+  // positions instead of four; every row still reads as if it ran alone,
+  // and the returned ledger still counts every row.
+  const auto& model = test_model();
+  const auto pa = test_prefix();
+  auto pb = pa;
+  pb.back() = pa.front();
+  const std::size_t cut = pa.size() - 2;
+  InferenceSession half(model);
+  half.reset(1);
+  half.prime(std::span<const int>(pa).first(cut));
+  const KvState snap = half.snapshot(0);
+
+  InferenceSession solo(model);
+  solo.reset(1);
+  solo.prime(pa);
+  const auto la = solo.logits_row(0);
+  const std::vector<float> want_a(la.begin(), la.end());
+  solo.reset(1);
+  solo.prime(pb);
+  const auto lb = solo.logits_row(0);
+  const std::vector<float> want_b(lb.begin(), lb.end());
+
+  const std::vector<PrefillRow> rows = {
+      {pa, &snap}, {pa, &snap}, {pa, &snap}, {pa, &snap}, {pb, nullptr}};
+  obs::Counter& stepped = obs::Registry::global().counter("infer.tokens");
+  InferenceSession s(model);
+  const std::uint64_t before = stepped.value();
+  const PrefillCounts n = s.prefill(rows);
+  EXPECT_EQ(stepped.value() - before, (pa.size() - cut) + pb.size());
+  EXPECT_EQ(n.saved, 4 * cut);
+  EXPECT_EQ(n.tokens, 4 * (pa.size() - cut) + pb.size());
+  for (Index r = 0; r < 5; ++r) {
+    const std::vector<float>& want = r < 4 ? want_a : want_b;
+    EXPECT_EQ(s.position(r), static_cast<Index>(r < 4 ? pa.size() : pb.size()));
+    const auto got = s.logits_row(r);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+        << "row " << r;
+  }
+}
+
 /// Pattern mix exercising divisions at several depths and leaf sizes.
 const pcfg::PatternDistribution& test_patterns() {
   static const pcfg::PatternDistribution* dist = [] {

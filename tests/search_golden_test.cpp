@@ -274,6 +274,7 @@ gpt::GptModel* SearchGoldenTest::model_ = nullptr;
 
 TEST_F(SearchGoldenTest, OrderedOutputMatchesRecordedDigests) {
   const std::string flavour = build_flavour();
+  std::printf("build flavour %s\n", flavour.c_str());
   const Golden* golden = golden_for(flavour);
   const auto masks = mask_cases();
   const auto budgets = budget_cases();
