@@ -27,7 +27,7 @@
 //                   the machine's true throughput
 //   --max-batch=N   scheduler batch cap (default 64)
 //   --quantize      serve sampled requests through the int8 projection
-//                   path (ServiceConfig::sample.precision = kInt8); the
+//                   path (ServiceConfig::precision = kInt8); the
 //                   default fp32 run is the comparison baseline
 //   --seed=N        base seed (default 2024)
 //   --report=FILE   write the cell table as JSON
@@ -96,7 +96,7 @@ Cell run_cell(const gpt::GptModel& model,
   cfg.max_batch = max_batch;
   cfg.max_queue = static_cast<std::size_t>(clients) * 2 + 8;
   cfg.batching = batching;
-  cfg.sample.precision = precision;
+  cfg.precision = precision;
   serve::GuessService svc(model, patterns, cfg);
 
   std::vector<std::vector<double>> lat(static_cast<std::size_t>(clients));

@@ -97,6 +97,19 @@ double remaining_capacity(const std::vector<pcfg::Segment>& pattern,
 //    torn tail and re-runs that leaf (its independent per-leaf RNG makes
 //    the re-run byte-identical).
 
+/// Subtasks expecting fewer passwords than this are deleted ("generation
+/// number less than 1 → the subtask is deleted", Fig. 7).
+constexpr double kMinTask = 1.0;
+/// Most same-length tasks divided per batched model call. Each group is
+/// taken from the back of its length bucket, so this decides the order
+/// leaves are numbered in, and with it each sampled leaf's RNG stream.
+constexpr std::size_t kDivisionBatch = 64;
+/// KV-trie byte budget of each ordered leaf's enumerator (not shared with
+/// the run-level cache). It only trades re-priming work for memory: the
+/// trie evicts to fit and never drops a frontier node, so no guess depends
+/// on it.
+constexpr std::size_t kOrderedCacheBytes = std::size_t(32) << 20;
+
 constexpr std::uint32_t kPlanMagic = 0x50504450;    // "PPDP"
 constexpr std::uint32_t kPlanVersion = 1;
 constexpr std::uint32_t kLedgerMagic = 0x5050444c;  // "PPDL"
@@ -117,14 +130,13 @@ std::uint64_t jmix_double(std::uint64_t h, double v) noexcept {
 
 /// Fingerprint of everything that determines the guess stream: the output-
 /// relevant config knobs, the seed, the pattern distribution, and the model
-/// weights. threads and the byte budgets (kv_cache_bytes,
-/// ordered_cache_bytes) are deliberately excluded — they never change the
-/// output (dcgen_test and kv_cache_test assert this), so a journal may be
-/// resumed with a different parallelism or memory setup. division_batch is
-/// included: a division group is taken from the back of its length bucket,
-/// so the batch size decides the order leaves are numbered in, and with it
-/// every sampled leaf's RNG stream. A fingerprint mismatch means the
-/// journal belongs to a different run and must be discarded.
+/// weights. threads and kv_cache_bytes are deliberately excluded — they
+/// never change the output (dcgen_test and kv_cache_test assert this), so a
+/// journal may be resumed with a different parallelism or memory setup. The
+/// SIMD backend is not mixed either: the kernel contract makes fp32 bitwise
+/// identical across backends, so a journal written on one machine resumes
+/// on another with different vector units. A fingerprint mismatch means
+/// the journal belongs to a different run and must be discarded.
 std::uint64_t dc_fingerprint(const gpt::GptModel& model,
                              const pcfg::PatternDistribution& patterns,
                              const DcGenConfig& cfg, std::uint64_t seed) {
@@ -132,29 +144,12 @@ std::uint64_t dc_fingerprint(const gpt::GptModel& model,
   h = jmix(h, seed);
   h = jmix_double(h, cfg.total);
   h = jmix_double(h, cfg.threshold);
-  h = jmix_double(h, cfg.min_task);
-  h = jmix(h, cfg.max_patterns);
-  h = jmix(h, std::max<std::size_t>(cfg.division_batch, 1));
-  h = jmix(h, cfg.strict_leaves ? 1 : 0);
-  // Ordered-leaf knobs are output-relevant: the mode picks the leaf
-  // algorithm outright, and the frontier and expansion caps decide what
-  // truncation (if any) drops from each leaf's top-n.
+  // The mode picks the leaf algorithm outright, and the expansion cap
+  // decides what truncation (if any) drops from each ordered leaf's top-n.
   h = jmix(h, cfg.leaf_mode == LeafMode::kOrdered ? 1 : 0);
-  if (cfg.leaf_mode == LeafMode::kOrdered) {
-    h = jmix(h, cfg.ordered_max_nodes);
+  if (cfg.leaf_mode == LeafMode::kOrdered)
     h = jmix(h, cfg.ordered_max_expansions);
-  }
-  h = jmix_double(h, cfg.sample.temperature);
-  h = jmix(h, static_cast<std::uint64_t>(cfg.sample.top_k));
-  h = jmix_double(h, cfg.sample.top_p);
   h = jmix(h, static_cast<std::uint64_t>(cfg.sample.batch_size));
-  h = jmix(h, static_cast<std::uint64_t>(cfg.sample.max_attempt_factor));
-  // Numeric precision changes every sampled guess (int8 logits differ from
-  // fp32 by the quantization error), so it is output-relevant. The SIMD
-  // backend is deliberately NOT mixed: the kernel contract makes fp32
-  // bitwise identical and int8 integer-exact across backends, so a journal
-  // written on one machine resumes on another with different vector units.
-  h = jmix(h, static_cast<std::uint64_t>(cfg.sample.precision));
   for (const auto& [pat, prob] : patterns.sorted()) {
     h = jmix(h, hash64(pat));
     h = jmix_double(h, prob);
@@ -301,12 +296,6 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
                                      std::uint64_t seed, DcGenStats* stats) {
   if (cfg.total <= 0 || cfg.threshold <= 0)
     throw std::invalid_argument("dc_generate: total and threshold must be > 0");
-  if (cfg.leaf_mode == LeafMode::kOrdered &&
-      cfg.sample.precision != gpt::Precision::kFp32)
-    throw std::invalid_argument(
-        "dc_generate: ordered leaves require fp32 (the best-first search's "
-        "probability bounds are derived from fp32 logits; mixing them with "
-        "int8 division states would break its exactness guarantee)");
   obs::Span run_span("dcgen/run", "dcgen");
   DcMetrics& metrics = DcMetrics::get();
   metrics.runs.inc();
@@ -317,7 +306,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
   std::vector<Task> leaves;
   std::vector<std::string> forced;  // fully-determined outputs
   // Pending division tasks grouped by prefix length; each batch divides up
-  // to division_batch tasks of the shortest length (optimisation 3).
+  // to kDivisionBatch tasks of the shortest length (optimisation 3).
   std::map<std::size_t, std::vector<Task>> pending;
 
   auto route = [&](Task t) {
@@ -328,7 +317,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
       local.capacity_capped += t.n - capacity;
       t.n = capacity;
     }
-    if (t.n < cfg.min_task) {
+    if (t.n < kMinTask) {
       ++local.dropped;
       return;
     }
@@ -419,12 +408,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
 
   // Root division by the pattern distribution (Alg. 1 lines 2-9).
   const auto& sorted = patterns.sorted();
-  const std::size_t pattern_limit =
-      have_plan ? 0
-      : cfg.max_patterns == 0
-          ? sorted.size()
-          : std::min(cfg.max_patterns, sorted.size());
-  for (std::size_t i = 0; i < pattern_limit; ++i) {
+  for (std::size_t i = 0; !have_plan && i < sorted.size(); ++i) {
     const auto& [pattern_str, prob] = sorted[i];
     auto parsed = pcfg::parse_pattern(pattern_str);
     if (!parsed) continue;
@@ -451,7 +435,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
   std::unique_ptr<gpt::KvTrieCache> cache;
   if (cfg.kv_cache_bytes > 0)
     cache = std::make_unique<gpt::KvTrieCache>(cfg.kv_cache_bytes);
-  gpt::InferenceSession session(model, cfg.sample.precision);
+  gpt::InferenceSession session(model);
   const auto& class_sets = ClassTokenSets::instance();
   std::vector<gpt::KvTrieCache::Handle> handles;
   std::vector<gpt::PrefillRow> starts;
@@ -459,8 +443,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     obs::Span division_span("dcgen/division_batch", "dcgen");
     auto bucket_it = pending.begin();
     auto& bucket = bucket_it->second;
-    const std::size_t take =
-        std::min(std::max<std::size_t>(cfg.division_batch, 1), bucket.size());
+    const std::size_t take = std::min(kDivisionBatch, bucket.size());
     std::vector<Task> group(std::make_move_iterator(bucket.end() - take),
                             std::make_move_iterator(bucket.end()));
     bucket.resize(bucket.size() - take);
@@ -578,8 +561,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
     if (count == 0) return;
     Rng rng(seed ^ hash64("dcgen-leaf"), std::to_string(leaf_idx));
     const gpt::AllowedTokens allowed =
-        cfg.strict_leaves ? make_pattern_mask(*t.pattern, t.chars_done)
-                          : gpt::AllowedTokens{};
+        make_pattern_mask(*t.pattern, t.chars_done);
     // A leaf's parent prefix was snapshotted when it was divided, so the
     // deepest cached ancestor usually covers all but the last token. The
     // handle pins the state for the duration of the sampling call.
@@ -591,8 +573,7 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
       // invariance holds trivially; the run-level cache hit only changes
       // prefill work (bitwise resume contract), never the guesses.
       search::OrderedOptions sopts;
-      sopts.max_nodes = cfg.ordered_max_nodes;
-      sopts.cache_bytes = cfg.ordered_cache_bytes;
+      sopts.cache_bytes = kOrderedCacheBytes;
       sopts.max_expansions = cfg.ordered_max_expansions;
       sopts.max_guesses = count;
       search::OrderedEnumerator enumerator(model, t.prefix, sopts, allowed,

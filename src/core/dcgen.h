@@ -15,10 +15,15 @@
 //  1. T sized to the generation batch the backend executes in parallel;
 //  2. per-task counts capped by the remaining pattern capacity
 //     (52^letters · 10^digits · 32^specials of the unfilled suffix);
-//  3. divisions are batched: up to division_batch tasks of one prefix
-//     length per model call, shortest first, each row resuming from its
-//     own deepest cached ancestor (one InferenceSession::prefill); and
-//     prefixes stay in token form end-to-end (no re-encoding).
+//  3. divisions are batched: up to 64 tasks of one prefix length per model
+//     call, shortest first, each row resuming from its own deepest cached
+//     ancestor (one InferenceSession::prefill); and prefixes stay in token
+//     form end-to-end (no re-encoding).
+//
+// Fixed rules rather than knobs: every pattern of the distribution is
+// divided; a subtask expecting fewer than one password is deleted
+// ("generation number less than 1", Fig. 7); every leaf generates under
+// its pattern's conformance mask; and the whole run decodes in fp32.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +52,9 @@ struct DcGenConfig {
   double total = 100000;
   /// T: division threshold (paper used 4000 = one GPU batch; our CPU
   /// default matches the sampler batch). Degenerate boundary: with T at or
-  /// below min_task, a divided task's children (mass ~n/52 each)
-  /// almost all fall below min_task and are deleted per the paper's rule,
-  /// so the run terminates quickly emitting mostly forced outputs.
+  /// below 1, a divided task's children (mass ~n/52 each) almost all fall
+  /// below one expected password and are deleted per the paper's rule, so
+  /// the run terminates quickly emitting mostly forced outputs.
   double threshold = 64;
   /// Leaf-generation sampling options.
   gpt::SampleOptions sample;
@@ -57,36 +62,13 @@ struct DcGenConfig {
   /// OrderedEnumerator capped at the leaf's quota; output order within a
   /// leaf becomes descending model probability.
   LeafMode leaf_mode = LeafMode::kSampled;
-  /// Ordered-leaf frontier cap (see search::OrderedOptions::max_nodes).
-  /// Unlike the byte budgets, the frontier and expansion caps *can* change
-  /// which guesses are emitted (budget truncation), so they are part of the
-  /// journal fingerprint.
-  std::size_t ordered_max_nodes = std::size_t(1) << 16;
-  /// Ordered-leaf KV-trie byte budget (per leaf, not shared with the
-  /// run-level cache below). Like kv_cache_bytes it only trades re-priming
-  /// work for memory: the trie evicts to fit and no frontier node is ever
-  /// dropped for bytes, so the emitted guesses never depend on it.
-  std::size_t ordered_cache_bytes = std::size_t(32) << 20;
   /// Per-leaf expansion budget (0 = unlimited). Best-first search under a
   /// near-uniform model can sweep nearly the whole pattern tree before
   /// surfacing a leaf's quota; the cap bounds each leaf's forward passes
   /// deterministically (a deadline would not be reproducible). Capped
   /// leaves emit fewer guesses than their quota — an exact prefix of the
-  /// leaf's ideal ranking.
+  /// leaf's ideal ranking — so the cap is part of the journal fingerprint.
   std::size_t ordered_max_expansions = std::size_t(1) << 14;
-  /// Subtasks with fewer expected passwords than this are dropped
-  /// ("generation number less than 1 → the subtask is deleted", Fig. 7).
-  double min_task = 1.0;
-  /// Only divide the top-K patterns (0 = all patterns).
-  std::size_t max_patterns = 0;
-  /// Maximum number of same-length tasks divided per batched model call
-  /// (0 acts as 1). Each group is taken from the back of its length bucket,
-  /// so the batch size decides the order leaves are numbered in and with it
-  /// each sampled leaf's RNG stream: it is part of the journal fingerprint.
-  std::size_t division_batch = 64;
-  /// Enforce pattern conformance at leaves (required for the cross-task
-  /// no-duplicate invariant; off reproduces unconstrained drift).
-  bool strict_leaves = true;
   /// Worker threads for leaf execution (§III-C3 optimisation 3: "tasks in
   /// the list can be executed concurrently"). Results are identical for
   /// any thread count: each leaf draws from its own seeded RNG and outputs
@@ -115,7 +97,7 @@ struct DcGenStats {
   std::size_t divisions = 0;    ///< tasks expanded into children
   std::size_t model_calls = 0;  ///< batched division prefills
   std::size_t leaves = 0;       ///< executed leaf tasks
-  std::size_t dropped = 0;      ///< subtasks below min_task
+  std::size_t dropped = 0;      ///< subtasks below one expected password
   std::size_t forced = 0;       ///< fully-determined prefixes emitted directly
   double capacity_capped = 0;   ///< guesses saved by the capacity cap
   /// Prefix positions, summed over rows, that division priming and leaf

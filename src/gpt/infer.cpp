@@ -352,19 +352,6 @@ void InferenceSession::copy_row(Index from, Index to) {
                 vocab * sizeof(float));
 }
 
-std::span<const float> InferenceSession::prime(std::span<const int> prefix) {
-  if (prefix.empty())
-    throw std::invalid_argument("InferenceSession::prime: empty prefix");
-  obs::ScopedLatency latency(InferMetrics::get().prime_us);
-  std::vector<int> broadcast(static_cast<std::size_t>(batch_));
-  std::span<const float> out;
-  for (const int tok : prefix) {
-    std::fill(broadcast.begin(), broadcast.end(), tok);
-    out = step(broadcast);
-  }
-  return out;
-}
-
 std::span<const float> InferenceSession::logits_row(Index i) const {
   PPG_DCHECK(i >= 0 && i < batch_ && ready_[static_cast<std::size_t>(i)],
              "logits_row(%d) read before the row consumed a token",
@@ -377,23 +364,6 @@ Index InferenceSession::position(Index row) const {
   PPG_DCHECK(row >= 0 && row < batch_, "position(%d) of a %d-row batch",
              static_cast<int>(row), static_cast<int>(batch_));
   return pos_[static_cast<std::size_t>(row)];
-}
-
-std::vector<float> next_token_distribution(const GptModel& model,
-                                           std::span<const int> prefix) {
-  InferenceSession session(model);
-  session.reset(1);
-  const auto logits = session.prime(prefix);
-  std::vector<float> probs(logits.begin(), logits.end());
-  float mx = probs[0];
-  for (const float v : probs) mx = std::max(mx, v);
-  double z = 0.0;
-  for (auto& v : probs) {
-    v = std::exp(v - mx);
-    z += v;
-  }
-  for (auto& v : probs) v = static_cast<float>(v / z);
-  return probs;
 }
 
 double sequence_log_prob(const GptModel& model, std::span<const int> ids) {

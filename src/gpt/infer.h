@@ -112,11 +112,6 @@ class InferenceSession {
   /// Throws when a fed row's context window is exhausted.
   std::span<const float> step(std::span<const int> tokens);
 
-  /// Feeds a shared prefix to every row; returns the logits after its last
-  /// token. Equivalent to step() per prefix token with the same token
-  /// broadcast across the batch.
-  std::span<const float> prime(std::span<const int> prefix);
-
   /// Forks row `row` out of this session: copies its per-layer KV blocks
   /// for positions [0, position(row)) and its current logits row into a
   /// standalone KvState. Requires the row to have consumed a token.
@@ -184,12 +179,6 @@ class InferenceSession {
   std::vector<std::int8_t> qx_;
   std::vector<float> qs_;
 };
-
-/// One-shot convenience: next-token distribution (softmax of logits) after
-/// `prefix` for a single sequence. Builds a throwaway session; use an
-/// explicit session for anything hot.
-std::vector<float> next_token_distribution(const GptModel& model,
-                                           std::span<const int> prefix);
 
 /// log P(ids[1..]) under the model: the sum of next-token log-probabilities
 /// of every token after the first (autoregressive chain rule, Eq. 3 of the

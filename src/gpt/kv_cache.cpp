@@ -1,6 +1,5 @@
 #include "gpt/kv_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -37,6 +36,10 @@ struct KvTrieCache::Node {
   std::map<int, std::unique_ptr<Node>> children;
   std::unique_ptr<KvState> state;
   int pins = 0;  ///< live Handles; > 0 exempts the node from eviction
+  /// LRU neighbours. A node is on the LRU list exactly while it holds a
+  /// state and no pin.
+  Node* lru_prev = nullptr;
+  Node* lru_next = nullptr;
 };
 
 KvTrieCache::KvTrieCache(std::size_t budget)
@@ -78,9 +81,29 @@ KvTrieCache::Handle KvTrieCache::pin_locked(Node* n) {
   return Handle(this, n);
 }
 
+void KvTrieCache::lru_push_back_locked(Node* n) {
+  n->lru_prev = lru_back_;
+  n->lru_next = nullptr;
+  if (lru_back_ != nullptr)
+    lru_back_->lru_next = n;
+  else
+    lru_front_ = n;
+  lru_back_ = n;
+}
+
 void KvTrieCache::lru_detach_locked(Node* n) {
-  const auto it = std::find(lru_.begin(), lru_.end(), n);
-  if (it != lru_.end()) lru_.erase(it);
+  PPG_DCHECK(n->lru_prev != nullptr || lru_front_ == n,
+             "kv cache: detaching a node that is not on the LRU list");
+  if (n->lru_prev != nullptr)
+    n->lru_prev->lru_next = n->lru_next;
+  else
+    lru_front_ = n->lru_next;
+  if (n->lru_next != nullptr)
+    n->lru_next->lru_prev = n->lru_prev;
+  else
+    lru_back_ = n->lru_prev;
+  n->lru_prev = nullptr;
+  n->lru_next = nullptr;
 }
 
 KvTrieCache::Handle KvTrieCache::find(std::span<const int> prefix) {
@@ -121,15 +144,15 @@ void KvTrieCache::insert(std::span<const int> prefix, KvState state) {
   ++nodes_;
   KvCacheMetrics& m = kv_cache_metrics();
   m.inserts.inc();
-  lru_.push_back(n);  // unpinned at birth, most recently used
+  lru_push_back_locked(n);  // unpinned at birth, most recently used
   evict_over_budget_locked();
   m.bytes.set(static_cast<double>(bytes_));
 }
 
 void KvTrieCache::evict_over_budget_locked() {
-  while (bytes_ > max_bytes && !lru_.empty()) {
-    Node* victim = lru_.front();
-    lru_.erase(lru_.begin());
+  while (bytes_ > max_bytes && lru_front_ != nullptr) {
+    Node* victim = lru_front_;
+    lru_detach_locked(victim);
     evict_node_locked(victim);
   }
   kv_cache_metrics().bytes.set(static_cast<double>(bytes_));
@@ -179,7 +202,7 @@ void KvTrieCache::Handle::release() {
   PPG_CHECK(n->pins > 0, "kv cache: pin refcount underflow");
   if (--n->pins == 0) {
     --cache->pinned_;
-    cache->lru_.push_back(n);  // a released node re-enters LRU as MRU
+    cache->lru_push_back_locked(n);  // a released node re-enters LRU as MRU
     cache->evict_over_budget_locked();
   }
 }

@@ -6,9 +6,9 @@
 // with token prefixes that are *extensions of prefixes already primed*:
 // a division task's prefix is its parent's plus one token, a leaf's prefix
 // is its parent division's plus one token, and repeated serve requests
-// share their whole `<BOS> pattern <SEP>` prefix. Re-running prime() over
-// the full prefix recomputes per-layer K/V blocks an ancestor already
-// produced. This store memoises them:
+// share their whole `<BOS> pattern <SEP>` prefix. Re-stepping the full
+// prefix recomputes per-layer K/V blocks an ancestor already produced.
+// This store memoises them:
 //
 //  * KvState is one sequence's immutable per-layer K/V blocks for
 //    positions [0, len) plus the logits after token len-1 — everything a
@@ -148,15 +148,18 @@ class KvTrieCache {
   struct Node;
   Node* walk_locked(std::span<const int> prefix, bool create) PPG_REQUIRES(mu_);
   Handle pin_locked(Node* n) PPG_REQUIRES(mu_);
+  void lru_push_back_locked(Node* n) PPG_REQUIRES(mu_);
   void lru_detach_locked(Node* n) PPG_REQUIRES(mu_);
   void evict_over_budget_locked() PPG_REQUIRES(mu_);
   void evict_node_locked(Node* n) PPG_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::unique_ptr<Node> root_ PPG_GUARDED_BY(mu_);
-  // Intrusive-by-pointer LRU of unpinned state-bearing nodes; front is
-  // the eviction victim, back is most recently used.
-  std::vector<Node*> lru_ PPG_GUARDED_BY(mu_);  ///< small; linear ops fine
+  // Intrusive doubly linked LRU of the unpinned state-bearing nodes,
+  // linked through Node::lru_prev/lru_next: the front is the eviction
+  // victim, the back the most recently used.
+  Node* lru_front_ PPG_GUARDED_BY(mu_) = nullptr;
+  Node* lru_back_ PPG_GUARDED_BY(mu_) = nullptr;
   std::size_t bytes_ PPG_GUARDED_BY(mu_) = 0;
   std::size_t nodes_ PPG_GUARDED_BY(mu_) = 0;
   std::size_t pinned_ PPG_GUARDED_BY(mu_) = 0;

@@ -21,49 +21,18 @@ std::span<const int> AllowedTokens::every() {
 }
 
 int sample_from_logits(std::span<const float> logits,
-                       std::span<const int> allowed, Rng& rng,
-                       const SampleOptions& opts) {
+                       std::span<const int> allowed, Rng& rng) {
   if (allowed.empty()) return -1;
-  // Temperature-scaled logits of the allowed ids, then (probability, id)
-  // pairs. The scaled logits are stored before any exp, so no multiply-add
-  // folds the scaling into the subtraction, and the exps run one at a time
+  // (probability, id) pairs of the allowed ids. The exps run one at a time
   // in the emplace loop rather than as a vector call: each probability has
   // the same bits whatever the list length or the build's vector width.
-  thread_local std::vector<float> scaled;
   thread_local std::vector<std::pair<float, int>> items;
-  scaled.resize(allowed.size());
-  const float inv_t = 1.f / std::max(opts.temperature, 1e-6f);
   float mx = -std::numeric_limits<float>::infinity();
-  for (std::size_t k = 0; k < allowed.size(); ++k) {
-    scaled[k] = logits[static_cast<std::size_t>(allowed[k])] * inv_t;
-    mx = std::max(mx, scaled[k]);
-  }
+  for (const int id : allowed)
+    mx = std::max(mx, logits[static_cast<std::size_t>(id)]);
   items.clear();
-  for (std::size_t k = 0; k < allowed.size(); ++k)
-    items.emplace_back(std::exp(scaled[k] - mx), allowed[k]);
-  const bool truncate =
-      (opts.top_k > 0 && static_cast<std::size_t>(opts.top_k) < items.size()) ||
-      opts.top_p < 1.0;
-  if (truncate) {
-    std::sort(items.begin(), items.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    if (opts.top_k > 0 && static_cast<std::size_t>(opts.top_k) < items.size())
-      items.resize(static_cast<std::size_t>(opts.top_k));
-    if (opts.top_p < 1.0) {
-      double total = 0.0;
-      for (const auto& [p, idx] : items) total += p;
-      double acc = 0.0;
-      std::size_t keep = 0;
-      for (; keep < items.size(); ++keep) {
-        acc += items[keep].first;
-        if (acc >= opts.top_p * total) {
-          ++keep;
-          break;
-        }
-      }
-      items.resize(std::max<std::size_t>(keep, 1));
-    }
-  }
+  for (const int id : allowed)
+    items.emplace_back(std::exp(logits[static_cast<std::size_t>(id)] - mx), id);
   double total = 0.0;
   for (const auto& [p, idx] : items) total += p;
   double target = rng.uniform() * total;
@@ -100,7 +69,7 @@ void masked_log_probs(std::span<const float> logits,
 }
 
 void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
-                 const SampleOptions& opts, const RowDone& done) {
+                 const RowDone& done) {
   const Index context = session.config().context;
   std::vector<std::vector<int>> generated(rows.size());
   std::vector<char> finished(rows.size(), 0);
@@ -118,7 +87,7 @@ void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
             session.logits_row(static_cast<Index>(i)),
             table ? table->at(static_cast<Index>(out.size()))
                   : AllowedTokens::every(),
-            *rows[i].rng, opts);
+            *rows[i].rng);
       }
       if (tok_id >= 0) out.push_back(tok_id);
       // Finished on <EOS>, on a row allowed no token (the caller's decode
@@ -146,10 +115,12 @@ std::vector<std::string> sample_passwords(const GptModel& model,
   std::vector<std::string> out;
   out.reserve(count);
   if (count == 0) return out;
+  // Gives up after this many sequences per requested password when the
+  // model keeps producing undecodable output (unfinished or malformed rules).
+  constexpr std::size_t kMaxAttemptFactor = 4;
   SampleStats local;
-  InferenceSession session(model, opts.precision);
-  const std::size_t attempt_budget =
-      count * static_cast<std::size_t>(std::max(opts.max_attempt_factor, 1));
+  InferenceSession session(model);
+  const std::size_t attempt_budget = count * kMaxAttemptFactor;
   std::vector<int> full(prefix.begin(), prefix.end());
   std::vector<std::optional<std::string>> decoded;
 
@@ -163,7 +134,7 @@ std::vector<std::string> sample_passwords(const GptModel& model,
     local.prefill_saved += primed.saved;
     decoded.assign(n, std::nullopt);
     const std::vector<SampleRow> draws(n, SampleRow{&allowed, &rng});
-    sample_rows(session, draws, opts,
+    sample_rows(session, draws,
                 [&](std::size_t i, std::span<const int> generated) {
                   full.resize(prefix.size());
                   full.insert(full.end(), generated.begin(), generated.end());

@@ -14,6 +14,8 @@
 //    the task's pattern suffix;
 //  * served requests:           one row per requested guess, each with its
 //    own prefix, table and RNG stream (src/serve).
+// Every draw follows the model's softmax over the allowed ids as it is,
+// the paper's generation rule.
 #pragma once
 
 #include <algorithm>
@@ -28,23 +30,10 @@
 
 namespace ppg::gpt {
 
-/// Sampling knobs.
+/// Options of sample_passwords, which decodes on an fp32 session.
 struct SampleOptions {
-  float temperature = 1.0f;
-  /// Keep only the k most likely tokens (0 = disabled).
-  int top_k = 0;
-  /// Nucleus sampling mass (1.0 = disabled).
-  double top_p = 1.0;
   /// Sequences decoded per InferenceSession batch (sample_passwords).
   Index batch_size = 64;
-  /// Give up after count*max_attempt_factor sequences when the model keeps
-  /// producing undecodable output (unfinished / malformed rules).
-  int max_attempt_factor = 4;
-  /// Numeric substrate for the decoding session: kFp32 (reference) or
-  /// kInt8 (quantized projections — faster, bounded logits error; see
-  /// infer.h). Sampled guesses differ between the two, so the precision
-  /// participates in D&C-GEN's journal fingerprint.
-  Precision precision = Precision::kFp32;
 };
 
 /// Diagnostics of one sampling run.
@@ -98,12 +87,12 @@ using RowDone = std::function<void(std::size_t row, std::span<const int>)>;
 /// sharing one Rng draw from it step by step, rows by index. A finished row
 /// is handed to `done` at once and sits out every later step.
 void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
-                 const SampleOptions& opts, const RowDone& done);
+                 const RowDone& done);
 
 /// Generates `count` decoded passwords continuing `prefix`. Returned
 /// strings may repeat — deduplication is the caller's concern (that is the
 /// paper's repeat-rate phenomenon). Undecodable sequences are replaced by
-/// fresh draws until `count` is reached or the attempt budget is exhausted.
+/// fresh draws until `count` is reached or 4·count sequences have run.
 ///
 /// When `resume` covers a leading part of `prefix` (resume->len <=
 /// prefix.size()), every batch restores those positions from the snapshot
@@ -120,11 +109,10 @@ std::vector<std::string> sample_passwords(const GptModel& model,
                                           const KvState* resume = nullptr);
 
 /// Samples a token id among the `allowed` ids (ascending) of a raw logit
-/// row under the given options; -1 when the list is empty. Other logits are
-/// never read.
+/// row, with probability proportional to exp(logit); -1 when the list is
+/// empty. Other logits are never read.
 int sample_from_logits(std::span<const float> logits,
-                       std::span<const int> allowed, Rng& rng,
-                       const SampleOptions& opts);
+                       std::span<const int> allowed, Rng& rng);
 
 /// Log-softmax of a raw logit row renormalised over the `allowed` ids
 /// (ascending): out[k] = log P(allowed[k] | allowed), max-subtracted and

@@ -172,7 +172,6 @@ void OrderedEnumerator::push_children(std::uint32_t parent, double logp,
   bool pinned = false;
   for (std::size_t k = 0; k < ids.size(); ++k) {
     const double child_logp = logp + log_probs_[k];
-    if (child_logp < opts_.min_log_prob) continue;
     const bool terminal = ids[k] == tok::Tokenizer::kEos;
     // A non-terminal child at the context boundary can never be stepped
     // again nor emit <EOS>; a terminal child needs no further step.

@@ -12,8 +12,8 @@
 // with no duplicates.
 //
 // Anytime contract: next() yields one complete guess per call, best-first.
-// Stopping early (by count, by min-logprob, by deadline) always leaves a
-// prefix of the ideal descending-probability ranking; truncation caused by
+// Stopping early (by count, by expansion budget, by deadline) always leaves
+// a prefix of the ideal descending-probability ranking; truncation caused by
 // the frontier budget is recorded as an admissible lower bound
 // (stats().truncated_log_prob) — guesses with log-prob at or below that
 // bound may be missing, anything above it is guaranteed complete.
@@ -49,7 +49,9 @@ namespace ppg::search {
 
 using gpt::Index;
 
-/// Search budgets and stop conditions.
+/// Search budgets and stop conditions. D&C-GEN leaves and served requests
+/// keep the default frontier cap; tests shrink max_nodes and cache_bytes to
+/// reach frontier overflow and re-priming at unit scale.
 struct OrderedOptions {
   /// Frontier cap: when the heap exceeds this, lowest-priority nodes are
   /// dropped (recorded in stats as truncation).
@@ -70,9 +72,6 @@ struct OrderedOptions {
   /// the ideal ranking; the stop is recorded like a truncation
   /// (stats().expansion_capped, truncated_log_prob).
   std::size_t max_expansions = 0;
-  /// Prune any partial sequence whose cumulative log-prob falls below
-  /// this; enumeration ends when nothing above it remains.
-  double min_log_prob = -std::numeric_limits<double>::infinity();
   /// Wall-clock budget measured from the first next() call (0 = none).
   double deadline_ms = 0.0;
 };
@@ -88,7 +87,7 @@ struct OrderedStats {
   /// <= this may be missing from the output; above it the ranking is
   /// complete. -inf when no truncation happened.
   double truncated_log_prob = -std::numeric_limits<double>::infinity();
-  bool exhausted = false;     ///< frontier emptied (nothing above min_log_prob)
+  bool exhausted = false;     ///< frontier emptied
   bool deadline_hit = false;  ///< stopped by deadline_ms
   bool expansion_capped = false;  ///< stopped by max_expansions
   /// Prefix positions recomputed through step(): root priming plus

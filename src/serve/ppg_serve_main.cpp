@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     scfg.max_ordered_top_k =
         static_cast<std::size_t>(cli.get_int("max-ordered-top-k", 512));
     if (cli.get_bool("quantize"))
-      scfg.sample.precision = gpt::Precision::kInt8;
+      scfg.precision = gpt::Precision::kInt8;
     scfg.prefix_cache_bytes =
         static_cast<std::size_t>(cli.get_int("prefix-cache-mb", 32)) << 20;
     serve::GuessService svc(*model, *patterns, scfg);

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "core/masks.h"
 #include "gpt/infer.h"
+#include "gpt/sampler.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -52,6 +53,13 @@ struct ServeMetrics {
     return m;
   }
 };
+
+/// Budgets of each ordered enumeration (see search::OrderedOptions). The
+/// expansion cap keeps one ordered request from monopolising a worker when
+/// the model is near-uniform over a large pattern space; a capped request
+/// completes kOk with the best-first prefix found within budget.
+constexpr std::size_t kOrderedMaxExpansions = std::size_t(1) << 16;
+constexpr std::size_t kOrderedCacheBytes = std::size_t(32) << 20;
 
 ServiceConfig normalized(ServiceConfig cfg) {
   cfg.workers = std::max<std::size_t>(cfg.workers, 1);
@@ -392,9 +400,8 @@ void GuessService::execute_ordered(const RowRef& row) {
   Pending& p = *row.req;
 
   search::OrderedOptions sopts;
-  sopts.max_nodes = cfg_.ordered_max_nodes;
-  sopts.cache_bytes = cfg_.ordered_cache_bytes;
-  sopts.max_expansions = cfg_.ordered_max_expansions;
+  sopts.cache_bytes = kOrderedCacheBytes;
+  sopts.max_expansions = kOrderedMaxExpansions;
   sopts.max_guesses = p.target;  // top_k
   sopts.deadline_ms = p.search_deadline_ms;
   // The shared prefix cache seeds the enumeration root (its pin outlives
@@ -404,7 +411,7 @@ void GuessService::execute_ordered(const RowRef& row) {
   // enumerator's fp32 exactness guarantee cannot resume from — the
   // enumeration then primes from scratch instead.
   gpt::KvTrieCache::Handle hit;
-  if (prefix_cache_ && cfg_.sample.precision == gpt::Precision::kFp32)
+  if (prefix_cache_ && cfg_.precision == gpt::Precision::kFp32)
     hit = prefix_cache_->find_longest(p.prefix);
   search::OrderedEnumerator enumerator(model_, p.prefix, sopts, p.allowed,
                                        hit ? hit.state() : nullptr);
@@ -483,7 +490,7 @@ void GuessService::execute_batch(gpt::InferenceSession& session,
                       "serve.row/" + std::to_string(rows[i].row_index));
     draws[i] = {&rows[i].req->allowed, &rngs[i]};
   }
-  gpt::sample_rows(session, draws, cfg_.sample,
+  gpt::sample_rows(session, draws,
                    [&](std::size_t i, std::span<const int> generated) {
                      deliver(rows[i], generated);
                    });
@@ -525,7 +532,7 @@ void GuessService::worker_loop(std::size_t index) {
   // Sampled generation runs on the configured precision; ordered requests
   // never touch this session (execute_ordered builds its own fp32
   // enumerator — best-first bounds require the reference substrate).
-  gpt::InferenceSession session(model_, cfg_.sample.precision);
+  gpt::InferenceSession session(model_, cfg_.precision);
   for (;;) {
     std::vector<RowRef> rows;
     {

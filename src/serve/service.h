@@ -15,7 +15,8 @@
 //    its own rows finish, not when the batch does;
 //  * per-worker sessions — each worker owns one InferenceSession whose
 //    buffers persist across batches (reset() reuse keeps shrinking tail
-//    batches allocation-free);
+//    batches allocation-free), at the configured precision (fp32, or int8
+//    for sampled rows);
 //  * deadline enforcement — a request whose deadline passed while queued
 //    completes with Status::kTimeout instead of occupying batch slots;
 //  * graceful shutdown — shutdown() stops admission (late submits are
@@ -28,6 +29,10 @@
 //    its own depth; an exact full-prefix hit skips that row's prefill
 //    entirely. Responses are bitwise identical to a cold-cache run (see
 //    kv_cache.h).
+//
+// Sampled rows draw from the model's plain softmax over their allowed ids
+// (gpt/sampler.h); ordered requests run best-first search with fixed
+// budgets of 2^16 frontier nodes and expansions and a 32 MiB KV trie.
 //
 // Results are deterministic in (model, request): row r of a request draws
 // from Rng(seed, "serve.row/r"), so the same request returns the same
@@ -52,9 +57,9 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "gpt/infer.h"
 #include "gpt/kv_cache.h"
 #include "gpt/model.h"
-#include "gpt/sampler.h"
 #include "pcfg/pcfg_model.h"
 
 namespace ppg::serve {
@@ -132,13 +137,11 @@ struct ServiceConfig {
   bool batching = true;
   /// Give up on a request after count*max_attempt_factor generation rows.
   int max_attempt_factor = 4;
-  /// Sampling knobs for all requests (batch_size is ignored; the
-  /// scheduler owns batch geometry). sample.precision selects the worker
-  /// sessions' numeric substrate: kInt8 serves sampled guesses through
-  /// the quantized GEMM path (higher guesses/sec, bounded logits error);
-  /// ordered requests always run fp32 and skip the prefix cache when the
-  /// sampled side is quantized.
-  gpt::SampleOptions sample{};
+  /// Numeric substrate of the worker sessions that sample: kInt8 serves
+  /// sampled guesses through the quantized GEMM path (bounded logits
+  /// error, faster at few rows a step); ordered requests always run fp32
+  /// and skip the prefix cache when the sampled side is quantized.
+  gpt::Precision precision = gpt::Precision::kFp32;
   /// Byte budget of the cross-request prefix KV cache (0 disables it).
   /// Hits skip re-priming repeated pattern prefixes; responses are
   /// bitwise identical either way.
@@ -147,14 +150,6 @@ struct ServiceConfig {
   /// at submit with a reason (ordered search holds a worker for the whole
   /// enumeration, so the cap is the operator's cost-control knob).
   std::size_t max_ordered_top_k = 512;
-  /// Frontier / KV-trie / expansion budgets for each ordered enumeration
-  /// (see search::OrderedOptions). The expansion cap keeps one ordered
-  /// request from monopolising a worker when the model is near-uniform
-  /// over a large pattern space; capped requests complete kOk with the
-  /// best-first prefix found within budget.
-  std::size_t ordered_max_nodes = std::size_t(1) << 16;
-  std::size_t ordered_cache_bytes = std::size_t(32) << 20;
-  std::size_t ordered_max_expansions = std::size_t(1) << 16;
 };
 
 /// The serving engine. The model and pattern distribution must outlive it.

@@ -3,14 +3,18 @@
 // The kernel-level differential harness (kernel_backend_test.cpp) pins
 // each kernel bitwise across backends; these tests pin the property the
 // rest of the system actually relies on: whole inference pipelines —
-// raw decoding sessions, D&C-GEN, and best-first ordered search — emit
-// IDENTICAL passwords whichever SIMD backend is active, for fp32 and for
-// the int8 path alike. Quantization is allowed to change outputs (it is
-// a different numeric substrate, and dc_fingerprint records it), so the
-// int8-vs-fp32 relationship is pinned differently: on a trained tiny
-// model the quantized hit rate must land in a band around the fp32 one.
+// raw decoding sessions, D&C-GEN, best-first ordered search, and the
+// serving layer — emit IDENTICAL passwords whichever SIMD backend is
+// active, for fp32 and for the int8 path alike. int8 is a serving option
+// (ServiceConfig::precision), so its pipeline runs through GuessService.
+// Quantization is allowed to change outputs (it is a different numeric
+// substrate), so the int8-vs-fp32 relationship is pinned differently: on
+// a trained tiny model the quantized hit rate must land in a band around
+// the fp32 one.
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +25,7 @@
 #include "eval/metrics.h"
 #include "gpt/infer.h"
 #include "nn/backend.h"
+#include "serve/service.h"
 #include "tokenizer/tokenizer.h"
 
 namespace ppg {
@@ -90,7 +95,6 @@ void expect_backend_invariant(const char* what, Fn&& fn) {
 std::vector<std::uint32_t> decode_logit_bits(gpt::Precision precision) {
   const auto& m = fixture().pag;
   gpt::InferenceSession session(m.model(), precision);
-  session.reset(3);
   std::vector<std::uint32_t> bits;
   const auto harvest = [&](std::span<const float> logits) {
     for (float v : logits) {
@@ -99,7 +103,9 @@ std::vector<std::uint32_t> decode_logit_bits(gpt::Precision precision) {
       bits.push_back(u);
     }
   };
-  harvest(session.prime(std::vector<int>{tok::Tokenizer::kBos}));
+  const std::vector<int> bos = {tok::Tokenizer::kBos};
+  session.prefill(std::vector<gpt::PrefillRow>(3, gpt::PrefillRow{bos}));
+  for (gpt::Index r = 0; r < 3; ++r) harvest(session.logits_row(r));
   for (int t : {5, 9, 3})
     harvest(session.step(std::vector<int>{t, t + 1, t + 2}));
   return bits;
@@ -140,26 +146,39 @@ TEST(BackendE2E, DcGenOrderedOutputsIdenticalAcrossBackends) {
   });
 }
 
-TEST(BackendE2E, DcGenInt8OutputsIdenticalAcrossBackends) {
+/// Guesses a one-worker GuessService at `precision` returns to `requests`
+/// pattern requests of `count` guesses each, every request's pattern drawn
+/// from the fixture's distribution by its seed. Each response is sorted:
+/// its order follows row completion, which batching decides.
+std::vector<std::string> served_guesses(gpt::Precision precision,
+                                        std::size_t requests,
+                                        std::size_t count,
+                                        std::uint64_t seed) {
   const auto& m = fixture().pag;
-  core::DcGenConfig cfg;
-  cfg.total = 400;
-  cfg.threshold = 40;
-  cfg.sample.precision = gpt::Precision::kInt8;
-  expect_backend_invariant("dcgen int8 passwords", [&] {
-    return dc_generate(m.model(), m.patterns(), cfg, 13);
-  });
+  serve::ServiceConfig cfg;
+  cfg.precision = precision;
+  serve::GuessService service(m.model(), m.patterns(), cfg);
+  std::vector<std::future<serve::Response>> responses;
+  for (std::size_t i = 0; i < requests; ++i) {
+    serve::Request req;
+    req.count = count;
+    req.seed = seed + i;
+    responses.push_back(service.submit(req));
+  }
+  std::vector<std::string> out;
+  for (auto& f : responses) {
+    serve::Response r = f.get();
+    EXPECT_EQ(r.status, serve::Status::kOk);
+    std::sort(r.passwords.begin(), r.passwords.end());
+    out.insert(out.end(), r.passwords.begin(), r.passwords.end());
+  }
+  return out;
 }
 
-TEST(BackendE2E, OrderedLeavesRejectInt8) {
-  const auto& m = fixture().pag;
-  core::DcGenConfig cfg;
-  cfg.total = 100;
-  cfg.threshold = 40;
-  cfg.leaf_mode = core::LeafMode::kOrdered;
-  cfg.sample.precision = gpt::Precision::kInt8;
-  EXPECT_THROW(dc_generate(m.model(), m.patterns(), cfg, 14),
-               std::invalid_argument);
+TEST(BackendE2E, ServeInt8OutputsIdenticalAcrossBackends) {
+  expect_backend_invariant("served int8 passwords", [] {
+    return served_guesses(gpt::Precision::kInt8, 8, 50, 13);
+  });
 }
 
 // The int8 substrate trades bounded per-logit error for throughput; on a
@@ -170,14 +189,9 @@ TEST(BackendE2E, OrderedLeavesRejectInt8) {
 // model (int8 hit rate collapsing toward zero) or the comparison being
 // run on a broken fixture (fp32 hit rate of zero).
 TEST(BackendE2E, QuantizedHitRateWithinBandOfFp32) {
-  const auto& fx = fixture();
-  const eval::TestSet test(fx.test);
-  core::DcGenConfig cfg;
-  cfg.total = 2000;
-  cfg.threshold = 50;
-  const auto fp32 = dc_generate(fx.pag.model(), fx.pag.patterns(), cfg, 21);
-  cfg.sample.precision = gpt::Precision::kInt8;
-  const auto int8 = dc_generate(fx.pag.model(), fx.pag.patterns(), cfg, 21);
+  const eval::TestSet test(fixture().test);
+  const auto fp32 = served_guesses(gpt::Precision::kFp32, 200, 10, 21);
+  const auto int8 = served_guesses(gpt::Precision::kInt8, 200, 10, 21);
   const double fp32_hr = eval::hit_rate(fp32, test);
   const double int8_hr = eval::hit_rate(int8, test);
   EXPECT_GT(fp32_hr, 0.0) << fp32.size() << " fp32 guesses, 0 hits";

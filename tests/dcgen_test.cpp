@@ -165,17 +165,6 @@ TEST(DcGen, CrossTaskOutputsNeverCollide) {
   EXPECT_EQ(unique.size(), pws.size());
 }
 
-TEST(DcGen, MaxPatternsRestrictsRootDivision) {
-  const auto& m = shared_model();
-  DcGenConfig cfg;
-  cfg.total = 800;
-  cfg.threshold = 50;
-  cfg.max_patterns = 1;
-  const auto pws = dc_generate(m.model(), m.patterns(), cfg, 11);
-  const std::string top = m.patterns().sorted()[0].first;
-  for (const auto& pw : pws) EXPECT_EQ(pcfg::pattern_of(pw), top);
-}
-
 TEST(DcGen, ThreadCountDoesNotChangeOutput) {
   // §III-C3 optimisation 3: concurrent leaf execution must be
   // bit-identical to serial execution (per-leaf seeded RNGs).
@@ -240,8 +229,9 @@ TEST(DcGen, RegistryMetricsInvariantUnderThreadCount) {
 
 TEST(DcGen, ThresholdOneTerminatesWithFullMassAccounting) {
   // T = 1 is the degenerate boundary: a divided task spreads its mass over
-  // ~dozens of candidate children, so every child falls below min_task and
-  // is deleted (the paper's "generation number less than 1" rule). The run
+  // ~dozens of candidate children, so every child falls below one expected
+  // password and is deleted (the paper's "generation number less than 1"
+  // rule). The run
   // must terminate — division depth is bounded by pattern length — with
   // all mass accounted for as dropped/forced rather than hanging or
   // emitting more than asked.
@@ -258,8 +248,9 @@ TEST(DcGen, ThresholdOneTerminatesWithFullMassAccounting) {
 }
 
 TEST(DcGen, FractionalThresholdTerminates) {
-  // T < min_task leaves no valid leaf size at all: every task divides
-  // until its mass drops below min_task or its prefix is fully determined.
+  // T < 1 leaves no valid leaf size at all: every task divides until its
+  // mass drops below one expected password or its prefix is fully
+  // determined.
   // The run must still terminate (division depth is bounded by pattern
   // length) and emit only forced outputs.
   const auto& m = shared_model();
@@ -270,22 +261,6 @@ TEST(DcGen, FractionalThresholdTerminates) {
   const auto pws = dc_generate(m.model(), m.patterns(), cfg, 9, &stats);
   EXPECT_EQ(stats.leaves, 0u);
   EXPECT_EQ(pws.size(), stats.forced);
-}
-
-TEST(DcGen, DivisionBatchZeroClampsToOne) {
-  // division_batch = 0 used to make the division loop take zero tasks per
-  // iteration and spin forever; it now clamps to 1 and must match the
-  // explicit division_batch = 1 run byte for byte.
-  const auto& m = shared_model();
-  DcGenConfig cfg;
-  cfg.total = 400;
-  cfg.threshold = 30;
-  cfg.division_batch = 1;
-  const auto one = dc_generate(m.model(), m.patterns(), cfg, 10);
-  cfg.division_batch = 0;
-  const auto zero = dc_generate(m.model(), m.patterns(), cfg, 10);
-  EXPECT_GT(one.size(), 0u);
-  EXPECT_EQ(one, zero);
 }
 
 TEST(DcGen, StatsAreConsistent) {
@@ -388,9 +363,10 @@ TEST(DcGen, OrderedExpansionCapBoundsLeafWork) {
 }
 
 TEST(DcGen, OrderedBudgetsChangeJournalFingerprint) {
-  // The ordered budgets shape the emitted set (truncation), so a journal
-  // written under one budget must not resume a run under another: resuming
-  // regenerates from scratch instead of replaying mismatched leaves.
+  // The ordered expansion budget shapes the emitted set (truncation), so a
+  // journal written under one budget must not resume a run under another:
+  // resuming regenerates from scratch instead of replaying mismatched
+  // leaves.
   const auto& m = shared_model();
   const auto dist = small_space_patterns();
   namespace fs = std::filesystem;
@@ -404,39 +380,11 @@ TEST(DcGen, OrderedBudgetsChangeJournalFingerprint) {
   cfg.journal_dir = dir.string();
   const auto a = dc_generate(m.model(), dist, cfg, 3);
   DcGenConfig shrunk = cfg;
-  shrunk.ordered_max_nodes = 64;  // different truncation behaviour
+  shrunk.ordered_max_expansions = 8;  // different truncation behaviour
   DcGenStats stats;
   const auto b = dc_generate(m.model(), dist, shrunk, 3, &stats);
   EXPECT_FALSE(stats.resumed_plan);  // fingerprint mismatch forced a redo
   EXPECT_EQ(stats.resumed_leaves, 0u);
-  fs::remove_all(dir);
-}
-
-TEST(DcGen, DivisionBatchChangesJournalFingerprint) {
-  // A division group is taken from the back of its length bucket, so the
-  // batch size decides the order leaves are numbered in, and with it every
-  // sampled leaf's RNG stream. A journal written at one batch size must not
-  // be resumed at another: the run replans and returns what a fresh run at
-  // the new size returns.
-  const auto& m = shared_model();
-  namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "ppg_dcgen_batch_journal";
-  fs::remove_all(dir);
-  DcGenConfig cfg;
-  cfg.total = 1500;
-  cfg.threshold = 30;
-  DcGenConfig one = cfg;
-  one.division_batch = 1;
-  const auto fresh_one = dc_generate(m.model(), m.patterns(), one, 12);
-  cfg.journal_dir = dir.string();
-  one.journal_dir = dir.string();
-  const auto batched = dc_generate(m.model(), m.patterns(), cfg, 12);
-  EXPECT_NE(batched, fresh_one);  // the knob is output-relevant
-  DcGenStats stats;
-  const auto resumed = dc_generate(m.model(), m.patterns(), one, 12, &stats);
-  EXPECT_FALSE(stats.resumed_plan);
-  EXPECT_EQ(stats.resumed_leaves, 0u);
-  EXPECT_EQ(resumed, fresh_one);
   fs::remove_all(dir);
 }
 

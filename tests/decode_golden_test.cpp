@@ -118,8 +118,9 @@ Sampled run_sample(const gpt::GptModel& model, const SampleCase& c) {
   gpt::KvState resume;
   if (c.resumed) {
     gpt::InferenceSession s(model);
-    s.reset(1);
-    s.prime(std::span<const int>(prefix).first(prefix.size() - 1));
+    const gpt::PrefillRow row{
+        std::span<const int>(prefix).first(prefix.size() - 1)};
+    s.prefill({&row, 1});
     resume = s.snapshot(0);
   }
   gpt::SampleOptions opts;

@@ -410,8 +410,7 @@ TEST_F(TrainerResumeTest, ResumeDropsDerivedWeightViews) {
   const auto decode = [](const GptModel& m, gpt::Precision precision) {
     const std::vector<int> prefix = {tok::Tokenizer::kBos, 40, 41};
     gpt::InferenceSession s(m, precision);
-    s.reset(1);
-    const auto logits = s.prime(prefix);
+    const auto logits = testing::prefill_one(s, prefix);
     return std::vector<float>(logits.begin(), logits.end());
   };
   GptModel resumed(Config::tiny(), 12);

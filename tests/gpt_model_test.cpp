@@ -7,6 +7,7 @@
 
 #include "gpt/infer.h"
 #include "gpt/trainer.h"
+#include "test_util.h"
 #include "tokenizer/tokenizer.h"
 
 namespace ppg::gpt {
@@ -157,8 +158,7 @@ TEST(Trainer, EpochHookFires) {
 /// Logits after a fixed prefix, decoded by `s` as a one-row batch.
 std::vector<float> decode(InferenceSession& s) {
   const std::vector<int> prefix = {Tokenizer::kBos, 40, 41, 42};
-  s.reset(1);
-  const auto logits = s.prime(prefix);
+  const auto logits = testing::prefill_one(s, prefix);
   return {logits.begin(), logits.end()};
 }
 

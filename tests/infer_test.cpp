@@ -1,10 +1,13 @@
 #include "gpt/infer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "gpt/sampler.h"
 #include "nn/graph.h"
+#include "test_util.h"
 
 namespace ppg::gpt {
 namespace {
@@ -93,12 +96,13 @@ TEST(InferenceSession, BatchRowsAreIndependent) {
 }
 
 TEST(InferenceSession, PrimeEqualsManualSteps) {
+  // Three rows primed to one prefix by prefill (which steps the first and
+  // copies it to the others) read exactly like three rows stepped token by
+  // token.
   const GptModel m(Config::tiny(), 45);
   const std::vector<int> prefix = {0, 7, 41};
   InferenceSession s1(m);
-  s1.reset(3);
-  const auto via_prime = s1.prime(prefix);
-  const std::vector<float> a(via_prime.begin(), via_prime.end());
+  s1.prefill(std::vector<PrefillRow>(3, PrefillRow{prefix}));
   InferenceSession s2(m);
   s2.reset(3);
   std::span<const float> l;
@@ -106,7 +110,12 @@ TEST(InferenceSession, PrimeEqualsManualSteps) {
     const std::vector<int> toks(3, t);
     l = s2.step(toks);
   }
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], l[i]);
+  const auto v = static_cast<std::size_t>(m.config().vocab);
+  for (Index r = 0; r < 3; ++r) {
+    const auto a = s1.logits_row(r);
+    for (std::size_t j = 0; j < v; ++j)
+      EXPECT_EQ(a[j], l[static_cast<std::size_t>(r) * v + j]);
+  }
 }
 
 TEST(InferenceSession, GuardsAgainstMisuse) {
@@ -254,9 +263,13 @@ TEST(SequenceLogProb, MatchesManualChainRule) {
   const std::vector<int> seq = {0, 41, 55, 2};
   double manual = 0.0;
   for (std::size_t t = 0; t + 1 < seq.size(); ++t) {
-    const auto probs = next_token_distribution(
-        m, std::span<const int>(seq.data(), t + 1));
-    manual += std::log(double(probs[static_cast<std::size_t>(seq[t + 1])]));
+    InferenceSession s(m);
+    const auto logits =
+        testing::prefill_one(s, std::span<const int>(seq.data(), t + 1));
+    double z = 0.0;
+    for (const float v : logits) z += std::exp(double(v));
+    manual += double(logits[static_cast<std::size_t>(seq[t + 1])]) -
+              std::log(z);
   }
   EXPECT_NEAR(sequence_log_prob(m, seq), manual, 1e-3);
 }
@@ -278,17 +291,23 @@ TEST(SequenceLogProb, ValidatesInput) {
 }
 
 TEST(NextTokenDistribution, IsNormalisedAndDeterministic) {
+  // The next-token distribution after a prefix: prefill's logits,
+  // normalised over every token by masked_log_probs.
   const GptModel m(Config::tiny(), 50);
   const std::vector<int> prefix = {0, 5, 1};
-  const auto p1 = next_token_distribution(m, prefix);
-  const auto p2 = next_token_distribution(m, prefix);
-  EXPECT_EQ(p1, p2);
+  InferenceSession s1(m), s2(m);
+  const auto l1 = testing::prefill_one(s1, prefix);
+  const auto l2 = testing::prefill_one(s2, prefix);
+  EXPECT_TRUE(std::equal(l1.begin(), l1.end(), l2.begin(), l2.end()));
+  std::vector<double> log_probs;
+  masked_log_probs(l1, AllowedTokens::every(), log_probs);
+  ASSERT_EQ(log_probs.size(), l1.size());
   double sum = 0.0;
-  for (const float v : p1) {
-    EXPECT_GE(v, 0.f);
-    sum += v;
+  for (const double lp : log_probs) {
+    EXPECT_LE(lp, 0.0);
+    sum += std::exp(lp);
   }
-  EXPECT_NEAR(sum, 1.0, 1e-4);
+  EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
 }  // namespace

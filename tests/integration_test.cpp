@@ -69,12 +69,10 @@ TEST(Integration, TrainedModelBeatsUntrainedOnHitRate) {
 
   core::PagPassGPT untrained(gpt::Config::small(), 555);
   // Untrained generations rarely even decode; treat empty as zero hits.
+  // At 4 attempts per guess, asking 1000 caps the run at 4000 sequences.
   Rng rng2(1);
-  gpt::SampleOptions opts;
-  opts.max_attempt_factor = 2;
   const auto raw = gpt::sample_passwords(
-      untrained.model(), std::vector<int>{tok::Tokenizer::kBos}, 2000, rng2,
-      opts);
+      untrained.model(), std::vector<int>{tok::Tokenizer::kBos}, 1000, rng2);
   const double untrained_hr = eval::hit_rate(raw, test);
   EXPECT_GT(trained_hr, untrained_hr);
   EXPECT_GT(trained_hr, 0.0);

@@ -1,6 +1,6 @@
 // KV-cache test suite (DESIGN.md §10): trie-store properties (refcounts,
 // LRU eviction, byte budget), snapshot/resume bitwise equivalence against
-// prime()/step(), and the differential determinism suite — dc_generate
+// prefill()/step(), and the differential determinism suite — dc_generate
 // with the cache enabled must be byte-identical to the cache disabled for
 // any seed, thread count, and byte budget (including budgets tiny enough
 // to evict on every insert).
@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "pcfg/pattern.h"
 #include "pcfg/pcfg_model.h"
+#include "test_util.h"
 #include "tokenizer/tokenizer.h"
 
 namespace ppg::gpt {
@@ -140,6 +141,26 @@ TEST(KvTrieCache, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.find(std::vector<int>{3}));
 }
 
+TEST(KvTrieCache, ReleasedPinReentersAsMostRecentlyUsed) {
+  // A pin taken from the middle of the LRU order and held across inserts
+  // re-enters at the back when released: it outlives every node inserted
+  // before its release, and the rest go in insertion order.
+  const std::size_t unit = make_state(1, 1, 4, 8, 0.f).bytes();
+  KvTrieCache cache(4 * unit);
+  for (int i = 1; i <= 3; ++i)
+    cache.insert(std::vector<int>{i}, make_state(1, 1, 4, 8, float(i)));
+  auto pin = cache.find(std::vector<int>{2});
+  ASSERT_TRUE(pin);
+  cache.insert(std::vector<int>{4}, make_state(1, 1, 4, 8, 4.f));
+  pin.release();  // LRU order now 1, 3, 4, 2
+  for (int i = 5; i <= 7; ++i)  // each evicts the front: 1, then 3, then 4
+    cache.insert(std::vector<int>{i}, make_state(1, 1, 4, 8, float(i)));
+  for (const int gone : {1, 3, 4})
+    EXPECT_FALSE(cache.find(std::vector<int>{gone})) << gone;
+  for (const int kept : {2, 5, 6, 7})
+    EXPECT_TRUE(cache.find(std::vector<int>{kept})) << kept;
+}
+
 TEST(KvTrieCache, ReleaseIsIdempotent) {
   KvTrieCache cache(std::size_t(1) << 20);
   cache.insert(std::vector<int>{4}, make_state(1, 1, 2, 4, 4.f));
@@ -215,9 +236,7 @@ TEST(KvSessionResume, FullDepthResumeRestoresLogitsBitwise) {
   const auto& model = test_model();
   const auto prefix = test_prefix();
   InferenceSession ref(model);
-  ref.reset(1);
-  ref.prime(prefix);
-  const auto ref_logits = ref.logits_row(0);
+  const auto ref_logits = testing::prefill_one(ref, prefix);
   const KvState snap = ref.snapshot(0);
   EXPECT_EQ(snap.len, static_cast<Index>(prefix.size()));
 
@@ -235,8 +254,7 @@ TEST(KvSessionResume, ResumedStepMatchesPrimedStepBitwise) {
   const auto& model = test_model();
   const auto prefix = test_prefix();
   InferenceSession ref(model);
-  ref.reset(2);
-  ref.prime(prefix);
+  ref.prefill(std::vector<PrefillRow>(2, PrefillRow{prefix}));
   KvState snap = ref.snapshot(1);
 
   InferenceSession resumed(model);
@@ -261,20 +279,14 @@ TEST(KvSessionResume, PartialDepthResumePlusPrimeMatchesFullPrime) {
   const std::size_t cut = prefix.size() / 2;
 
   InferenceSession ref(model);
-  ref.reset(1);
-  ref.prime(prefix);
-  const auto want = ref.logits_row(0);
+  const auto want = testing::prefill_one(ref, prefix);
 
   InferenceSession half(model);
-  half.reset(1);
-  half.prime(std::span<const int>(prefix).subspan(0, cut));
+  testing::prefill_one(half, std::span<const int>(prefix).subspan(0, cut));
   const KvState snap = half.snapshot(0);
 
   InferenceSession resumed(model);
-  resumed.reset(1);
-  resumed.resume(0, snap);
-  resumed.prime(std::span<const int>(prefix).subspan(cut));
-  const auto got = resumed.logits_row(0);
+  const auto got = testing::prefill_one(resumed, prefix, &snap);
   EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
 }
 
@@ -285,18 +297,15 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
   pb.back() = pa.front();  // a second, different prefix of equal length
 
   InferenceSession sa(model);
-  sa.reset(1);
-  sa.prime(pa);
+  testing::prefill_one(sa, pa);
   const KvState snap_a = sa.snapshot(0);
   InferenceSession sb(model);
-  sb.reset(1);
-  sb.prime(pb);
+  testing::prefill_one(sb, pb);
   const KvState snap_b = sb.snapshot(0);
   // A shallower state: pa without its last two tokens.
   const std::size_t cut = pa.size() - 2;
   InferenceSession sc(model);
-  sc.reset(1);
-  sc.prime(std::span<const int>(pa).first(cut));
+  testing::prefill_one(sc, std::span<const int>(pa).first(cut));
   const KvState snap_c = sc.snapshot(0);
 
   const std::vector<const KvState*> states = {&snap_a, &snap_b, &snap_a};
@@ -317,11 +326,9 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
   // Rows resumed at different depths in one batch: row 0 from the full pa
   // state, row 1 from the shallower one, row 2 fresh. One prefill brings
   // each to the end of pa at its own position, and every row's logits
-  // match a cold single-row prime of pa bitwise.
+  // match a cold single-row prefill of pa bitwise.
   InferenceSession cold(model);
-  cold.reset(1);
-  cold.prime(pa);
-  const auto want = cold.logits_row(0);
+  const auto want = testing::prefill_one(cold, pa);
   const std::vector<PrefillRow> starts = {
       {pa, &snap_a}, {pa, &snap_c}, {pa, nullptr}};
   InferenceSession ragged(model);
@@ -352,18 +359,13 @@ TEST(KvSessionResume, IdenticalPrefillRowsStepOnceAndMatchSoloRuns) {
   pb.back() = pa.front();
   const std::size_t cut = pa.size() - 2;
   InferenceSession half(model);
-  half.reset(1);
-  half.prime(std::span<const int>(pa).first(cut));
+  testing::prefill_one(half, std::span<const int>(pa).first(cut));
   const KvState snap = half.snapshot(0);
 
   InferenceSession solo(model);
-  solo.reset(1);
-  solo.prime(pa);
-  const auto la = solo.logits_row(0);
+  const auto la = testing::prefill_one(solo, pa);
   const std::vector<float> want_a(la.begin(), la.end());
-  solo.reset(1);
-  solo.prime(pb);
-  const auto lb = solo.logits_row(0);
+  const auto lb = testing::prefill_one(solo, pb);
   const std::vector<float> want_b(lb.begin(), lb.end());
 
   const std::vector<PrefillRow> rows = {

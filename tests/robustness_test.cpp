@@ -64,19 +64,20 @@ TEST(TokenizerRobustness, EmptySequenceDecodes) {
 }
 
 TEST(InferenceRobustness, PrimeLongerThanContextThrows) {
+  // prefill steps the prefix until step() finds the context window full.
   const gpt::GptModel m(gpt::Config::tiny(), 5);
   gpt::InferenceSession s(m);
-  s.reset(1);
   const std::vector<int> prefix(
       static_cast<std::size_t>(m.config().context) + 1, 0);
-  EXPECT_THROW(s.prime(prefix), std::runtime_error);
+  const gpt::PrefillRow row{prefix};
+  EXPECT_THROW(s.prefill({&row, 1}), std::runtime_error);
 }
 
 TEST(InferenceRobustness, EmptyPrimeThrows) {
   const gpt::GptModel m(gpt::Config::tiny(), 6);
   gpt::InferenceSession s(m);
-  s.reset(1);
-  EXPECT_THROW(s.prime({}), std::invalid_argument);
+  const gpt::PrefillRow row{};
+  EXPECT_THROW(s.prefill({&row, 1}), std::invalid_argument);
 }
 
 TEST(DcGenRobustness, UnparseablePatternsSkipped) {

@@ -268,28 +268,6 @@ TEST_F(SearchTest, ExpansionCapYieldsExactPrefixOfFullRanking) {
   EXPECT_FALSE(capped.next().has_value());
 }
 
-TEST_F(SearchTest, StopByMinLogProb) {
-  const std::vector<int> prefix = {Tokenizer::kBos};
-  OrderedEnumerator full(*model_, prefix, {}, ab_mask(kMaxLen));
-  const auto all = drain(full);
-  // Threshold strictly between two adjacent distinct scores: everything
-  // above it must be emitted, nothing below it.
-  std::size_t cut = 4;
-  while (cut + 1 < all.size() &&
-         all[cut].log_prob == all[cut + 1].log_prob)
-    ++cut;
-  ASSERT_LT(cut + 1, all.size());
-  OrderedOptions opts;
-  opts.min_log_prob =
-      (all[cut].log_prob + all[cut + 1].log_prob) / 2.0;
-  OrderedEnumerator bounded(*model_, prefix, opts, ab_mask(kMaxLen));
-  const auto got = drain(bounded);
-  ASSERT_EQ(got.size(), cut + 1);
-  for (std::size_t i = 0; i <= cut; ++i)
-    EXPECT_EQ(got[i].password, all[i].password);
-  EXPECT_TRUE(bounded.stats().exhausted);
-}
-
 TEST_F(SearchTest, DeadlineStopsAnytime) {
   const std::vector<int> prefix = {Tokenizer::kBos};
   OrderedOptions opts;

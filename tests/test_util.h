@@ -1,14 +1,16 @@
-// Shared helpers for the test suite: finite-difference gradient checking
-// and tiny fixture data builders.
+// Shared helpers for the test suite: finite-difference gradient checking,
+// one-row prefill, and tiny fixture data builders.
 #pragma once
 
 #include <cmath>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gpt/infer.h"
 #include "nn/graph.h"
 #include "nn/tensor.h"
 
@@ -59,6 +61,17 @@ inline nn::Tensor random_tensor(std::vector<nn::Index> shape,
   Rng rng(seed);
   t.fill_normal(rng, scale);
   return t;
+}
+
+/// Resets `session` to one row and brings it to the end of `tokens`,
+/// restoring `state`'s positions first when one is given; returns the row's
+/// next-token logits (valid until the session's next step or reset).
+inline std::span<const float> prefill_one(gpt::InferenceSession& session,
+                                          std::span<const int> tokens,
+                                          const gpt::KvState* state = nullptr) {
+  const gpt::PrefillRow row{tokens, state};
+  session.prefill({&row, 1});
+  return session.logits_row(0);
 }
 
 /// A tiny vocabulary of human-ish passwords for model smoke tests.
