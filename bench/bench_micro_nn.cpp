@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -228,18 +229,25 @@ void register_attention_cells() {
           [shape, kernel](benchmark::State& state) {
             const auto pos = static_cast<nn::Index>(state.range(0));
             Rng rng(static_cast<std::uint64_t>(pos) + 1);
-            std::vector<float> q(shape.d), k(shape.context * shape.d);
-            std::vector<float> v(k.size());
-            for (std::vector<float>* x : {&q, &k, &v})
-              for (float& f : *x) f = rng.uniform_f() * 8.f - 4.f;
+            std::vector<float> q(shape.d);
+            for (float& f : q) f = rng.uniform_f() * 8.f - 4.f;
+            // One block per position: this layer's K, then its V.
+            std::vector<gpt::KvBlock> blocks;
+            for (nn::Index s = 0; s < shape.context; ++s) {
+              auto block =
+                  std::make_shared_for_overwrite<float[]>(2 * shape.d);
+              for (nn::Index i = 0; i < 2 * shape.d; ++i)
+                block[i] = rng.uniform_f() * 8.f - 4.f;
+              blocks.push_back(std::move(block));
+            }
             std::vector<float> scores(shape.heads * shape.context);
             std::vector<float> out(shape.d);
             for (auto _ : state) {
               if (kernel)
-                gpt::attend(shape, q.data(), k.data(), v.data(), pos,
+                gpt::attend(shape, q.data(), blocks.data(), 0, pos,
                             scores.data(), out.data());
               else
-                gpt::attend_reference(shape, q.data(), k.data(), v.data(),
+                gpt::attend_reference(shape, q.data(), blocks.data(), 0,
                                       pos, scores.data(), out.data());
               benchmark::DoNotOptimize(out.data());
               benchmark::ClobberMemory();

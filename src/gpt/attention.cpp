@@ -109,8 +109,9 @@ void fold_level(typename Lanes<L>::Vec* part) {
 /// AVX-512. Compile-time sizes keep q, the partial sums and the p·v
 /// accumulators in registers.
 template <int H, int DH>
-void attend_fixed(const AttentionShape& shape, const float* q, const float* k,
-                  const float* v, Index pos, float* scores, float* out) {
+void attend_fixed(const AttentionShape& shape, const float* q,
+                  const KvBlock* blocks, Index offset, Index pos,
+                  float* scores, float* out) {
   constexpr int L = DH % kBuildLanes == 0 ? kBuildLanes : 8;
   constexpr int C = DH / L, D = H * DH;
   static_assert(C * L == DH && H <= L);
@@ -124,7 +125,7 @@ void attend_fixed(const AttentionShape& shape, const float* q, const float* k,
   // scores rides along (max is exact, so its order is free).
   Vec mx = Vec{} - 1e30f;
   for (Index s = 0; s <= pos; ++s) {
-    const float* ks = k + s * D;
+    const float* ks = blocks[s].get() + offset;
     Vec part[H];
 #pragma GCC unroll 8
     for (int h = 0; h < H; ++h) {
@@ -148,7 +149,7 @@ void attend_fixed(const AttentionShape& shape, const float* q, const float* k,
   // p·v: one fma per position for each chunk of every head.
   Vec acc[H * C] = {};
   for (Index s = 0; s <= pos; ++s) {
-    const float* vs = v + s * D;
+    const float* vs = blocks[s].get() + offset + D;
 #pragma GCC unroll 8
     for (int h = 0; h < H; ++h) {
       const Vec p = Vec{} + scores[h * ctx + s] * inv[h];
@@ -161,8 +162,8 @@ void attend_fixed(const AttentionShape& shape, const float* q, const float* k,
   for (int i = 0; i < H * C; ++i) store<L>(out + i * L, acc[i]);
 }
 
-using AttendFn = void (*)(const AttentionShape&, const float*, const float*,
-                         const float*, Index, float*, float*);
+using AttendFn = void (*)(const AttentionShape&, const float*, const KvBlock*,
+                         Index, Index, float*, float*);
 
 /// The attend_fixed instance for `shape`, or null where there is none:
 /// 2, 4 or 8 heads of 8, 16 or 32 floats, which covers every Config.
@@ -187,7 +188,7 @@ AttendFn kernel_for(const AttentionShape& shape) {
 }  // namespace
 
 void attend_reference(const AttentionShape& shape, const float* q,
-                      const float* k, const float* v, Index pos,
+                      const KvBlock* blocks, Index offset, Index pos,
                       float* scores, float* out) {
   const Index d = shape.d, heads = shape.heads, dh = d / heads;
   const float scale = score_scale(dh);
@@ -195,7 +196,7 @@ void attend_reference(const AttentionShape& shape, const float* q,
     const float* qh = q + hh * dh;
     float mx = -1e30f;
     for (Index s = 0; s <= pos; ++s) {
-      const float* kh = k + s * d + hh * dh;
+      const float* kh = blocks[s].get() + offset + hh * dh;
       float acc = 0.f;
       for (Index j = 0; j < dh; ++j) acc += qh[j] * kh[j];
       scores[s] = acc * scale;
@@ -206,7 +207,7 @@ void attend_reference(const AttentionShape& shape, const float* q,
     for (Index j = 0; j < dh; ++j) oh[j] = 0.f;
     for (Index s = 0; s <= pos; ++s) {
       const float p = scores[s] * inv;
-      const float* vh = v + s * d + hh * dh;
+      const float* vh = blocks[s].get() + offset + d + hh * dh;
       for (Index j = 0; j < dh; ++j) oh[j] += p * vh[j];
     }
   }
@@ -220,13 +221,13 @@ bool attention_kernel_covers([[maybe_unused]] const AttentionShape& shape) {
 #endif
 }
 
-void attend(const AttentionShape& shape, const float* q, const float* k,
-            const float* v, Index pos, float* scores, float* out) {
+void attend(const AttentionShape& shape, const float* q, const KvBlock* blocks,
+            Index offset, Index pos, float* scores, float* out) {
 #ifdef PPG_ATTENTION_KERNEL
   if (const AttendFn kernel = kernel_for(shape))
-    return kernel(shape, q, k, v, pos, scores, out);
+    return kernel(shape, q, blocks, offset, pos, scores, out);
 #endif
-  attend_reference(shape, q, k, v, pos, scores, out);
+  attend_reference(shape, q, blocks, offset, pos, scores, out);
 }
 
 }  // namespace ppg::gpt

@@ -1,5 +1,6 @@
 // Decode-step attention for one InferenceSession row: the query of the
-// position being fed against the row's own cached keys and values.
+// position being fed against the keys and values of the row's positions,
+// read through the row's list of per-position KV blocks.
 //
 // attend() computes, for each head, softmax(q·kₛ/√dh) over the cached
 // positions s = 0..pos and the p-weighted sum of the vₛ, with every float
@@ -34,11 +35,20 @@
 // paths bitwise at every position of every Config's shape.
 #pragma once
 
+#include <memory>
+
 #include "nn/tensor.h"
 
 namespace ppg::gpt {
 
 using nn::Index;
+
+/// One position's keys and values for every layer of a model:
+/// 2·n_layers·d_model floats, layer l's K at offset 2·l·d_model and its V
+/// the d_model floats after it. The step that computes the position writes
+/// its block once; from then on every session row and KvState holding the
+/// position shares the block by reference and only reads it.
+using KvBlock = std::shared_ptr<const float[]>;
 
 /// One layer's attention geometry: d_model = heads × head width, and the
 /// context length, which is the stride of the per-head score rows.
@@ -49,17 +59,18 @@ struct AttentionShape {
 };
 
 /// One row's attention output (d floats) at position `pos`. `q` holds the
-/// row's d query floats; `k` and `v` point at its [context, d] cache slot,
-/// written for positions [0, pos]. `scores` is scratch of heads × context
-/// floats.
-void attend(const AttentionShape& shape, const float* q, const float* k,
-            const float* v, Index pos, float* scores, float* out);
+/// row's d query floats; `blocks` holds the row's blocks for positions
+/// [0, pos], and position s's K for this layer is the d floats at
+/// blocks[s] + offset, its V the d floats after them. `scores` is scratch of
+/// heads × context floats.
+void attend(const AttentionShape& shape, const float* q, const KvBlock* blocks,
+            Index offset, Index pos, float* scores, float* out);
 
 /// The per-(head, position) loop attend() reproduces; it uses only the
 /// first context floats of `scores`. The tests' oracle, and the path for
 /// builds and shapes the kernel does not cover.
 void attend_reference(const AttentionShape& shape, const float* q,
-                      const float* k, const float* v, Index pos,
+                      const KvBlock* blocks, Index offset, Index pos,
                       float* scores, float* out);
 
 /// Whether attend() runs the vector kernel for `shape` in this build.

@@ -21,14 +21,12 @@ struct InferMetrics {
   obs::Counter& steps;
   obs::Counter& tokens;
   obs::Gauge& batch;
-  obs::Gauge& cache_bytes;
   obs::Histogram& step_us;
   obs::Histogram& prime_us;
   static InferMetrics& get() {
     static InferMetrics m{obs::Registry::global().counter("infer.steps"),
                           obs::Registry::global().counter("infer.tokens"),
                           obs::Registry::global().gauge("infer.batch"),
-                          obs::Registry::global().gauge("infer.cache_bytes"),
                           obs::Registry::global().histogram("infer.step_us"),
                           obs::Registry::global().histogram("infer.prime_us")};
     return m;
@@ -38,6 +36,9 @@ struct InferMetrics {
 inline float gelu1(float v) {
   return 0.5f * v * (1.f + std::erf(v * 0.7071067811865475f));
 }
+
+/// Floats in one position's KvBlock: K and V for every layer.
+Index block_floats(const Config& c) { return 2 * c.n_layers * c.d_model; }
 
 }  // namespace
 
@@ -71,17 +72,13 @@ void InferenceSession::reset(Index batch) {
   const Config& c = model_->config();
   bind_weights();
   batch_ = batch;
-  pos_.assign(static_cast<std::size_t>(batch), 0);
+  rows_.resize(static_cast<std::size_t>(batch));
+  for (std::vector<KvBlock>& row : rows_) row.clear();
   ready_.assign(static_cast<std::size_t>(batch), 0);
-  // Every buffer is indexed with a per-row stride, so a batch that fits the
-  // existing allocation reuses it as-is: a row's KV slot is only read at
-  // positions it has written (or resumed) since this reset, activation rows
-  // are rewritten before being read, and logits are read only once ready.
+  // Every scratch buffer is indexed with a per-row stride, so a batch that
+  // fits the existing allocation reuses it as-is: activation rows are
+  // rewritten before being read, and logits are read only once ready.
   if (batch > capacity_) {
-    const std::size_t cache =
-        static_cast<std::size_t>(batch * c.context * c.d_model);
-    kcache_.assign(c.n_layers, std::vector<float>(cache, 0.f));
-    vcache_.assign(c.n_layers, std::vector<float>(cache, 0.f));
     x_.assign(batch * c.d_model, 0.f);
     h_.assign(batch * c.d_model, 0.f);
     qkv_.assign(batch * 3 * c.d_model, 0.f);
@@ -98,15 +95,7 @@ void InferenceSession::reset(Index batch) {
     capacity_ = batch;
   }
 
-  InferMetrics& m = InferMetrics::get();
-  m.batch.set(static_cast<double>(batch));
-  const double scratch = static_cast<double>(
-      x_.size() + h_.size() + qkv_.size() + att_.size() + ff_.size() +
-      logits_.size());
-  m.cache_bytes.set((2.0 * double(c.n_layers) *
-                         double(capacity_ * c.context * c.d_model) +
-                     scratch) *
-                    sizeof(float));
+  InferMetrics::get().batch.set(static_cast<double>(batch));
 }
 
 std::span<const float> InferenceSession::step(std::span<const int> tokens) {
@@ -121,7 +110,7 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
     if (tok == kIdle) continue;
     if (tok < 0 || tok >= c.vocab)
       throw std::invalid_argument("InferenceSession::step: token out of range");
-    if (pos_[static_cast<std::size_t>(i)] >= c.context)
+    if (position(i) >= c.context)
       throw std::runtime_error("InferenceSession::step: context exhausted");
     live_.push_back(i);
   }
@@ -136,16 +125,23 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
   obs::Span span("infer/step", "gpt");
   const Index d = c.d_model;
 
-  // Embedding: x = wte[token] + wpe[pos], each row at its own position.
+  // Embedding: x = wte[token] + wpe[pos], each row at its own position,
+  // which then gets its block.
   const float* wte = model_->wte().table().data().data();
   const float* wpe = model_->wpe().table().data().data();
+  const auto floats = static_cast<std::size_t>(block_floats(c));
+  fresh_.resize(static_cast<std::size_t>(m));
   for (Index j = 0; j < m; ++j) {
     const Index r = live_[static_cast<std::size_t>(j)];
+    std::vector<KvBlock>& row = rows_[static_cast<std::size_t>(r)];
     const float* te =
         wte + static_cast<Index>(tokens[static_cast<std::size_t>(r)]) * d;
-    const float* pe = wpe + pos_[static_cast<std::size_t>(r)] * d;
+    const float* pe = wpe + static_cast<Index>(row.size()) * d;
     float* xr = x_.data() + j * d;
     for (Index k = 0; k < d; ++k) xr[k] = te[k] + pe[k];
+    auto block = std::make_shared_for_overwrite<float[]>(floats);
+    fresh_[static_cast<std::size_t>(j)] = block.get();
+    row.push_back(std::move(block));
   }
 
   scores_.resize(static_cast<std::size_t>(c.n_heads * c.context));
@@ -166,7 +162,6 @@ std::span<const float> InferenceSession::step(std::span<const int> tokens) {
       std::memcpy(logits_.data() + r * static_cast<std::size_t>(c.vocab),
                   out + j * c.vocab,
                   static_cast<std::size_t>(c.vocab) * sizeof(float));
-    ++pos_[r];
     ready_[r] = 1;
   }
   return all;
@@ -181,23 +176,20 @@ void InferenceSession::forward(const DerivedWeights<M>& w, float* logits) {
   for (Index l = 0; l < c.n_layers; ++l) {
     const Block& blk = model_->blocks()[static_cast<std::size_t>(l)];
     const BlockWeights<M>& wb = w.blocks[static_cast<std::size_t>(l)];
-    // Attention: h = ln1(x); qkv = h·Wqkv+b; cache k,v; attend; x += proj.
+    // Attention: h = ln1(x); qkv = h·Wqkv+b; store k,v; attend; x += proj.
     nn::kernels::layernorm_rows(m, d, x_.data(), blk.ln1.gain().data().data(),
                                 blk.ln1.bias().data().data(), h_.data());
     project(wb.qkv, m, h_.data(), blk.qkv.bias().data().data(), qkv_.data());
-    float* kc = kcache_[static_cast<std::size_t>(l)].data();
-    float* vc = vcache_[static_cast<std::size_t>(l)].data();
+    const Index offset = 2 * l * d;  // this layer's K, then V, in a block
     for (Index i = 0; i < m; ++i) {
-      const Index r = live_[static_cast<std::size_t>(i)];
-      const Index pos = pos_[static_cast<std::size_t>(r)];
-      // Row r's slot: positions [0, pos] of its own sequence.
-      float* const kslot = kc + r * c.context * d;
-      float* const vslot = vc + r * c.context * d;
+      const std::vector<KvBlock>& row =
+          rows_[static_cast<std::size_t>(live_[static_cast<std::size_t>(i)])];
       const float* q = qkv_.data() + i * 3 * d;
-      const auto bytes = static_cast<std::size_t>(d) * sizeof(float);
-      std::memcpy(kslot + pos * d, q + d, bytes);
-      std::memcpy(vslot + pos * d, q + 2 * d, bytes);
-      attend(shape, q, kslot, vslot, pos, scores_.data(), att_.data() + i * d);
+      // qkv holds k and v back to back, the block's order.
+      std::memcpy(fresh_[static_cast<std::size_t>(i)] + offset, q + d,
+                  static_cast<std::size_t>(2 * d) * sizeof(float));
+      attend(shape, q, row.data(), offset, static_cast<Index>(row.size()) - 1,
+             scores_.data(), att_.data() + i * d);
     }
     // x += proj(att)
     project(wb.proj, m, att_.data(), blk.proj.bias().data().data(), h_.data());
@@ -221,27 +213,15 @@ void InferenceSession::forward(const DerivedWeights<M>& w, float* logits) {
 }
 
 KvState InferenceSession::snapshot(Index row) const {
-  const Config& c = model_->config();
   if (batch_ == 0)
     throw std::logic_error("InferenceSession::snapshot before reset()");
   if (row < 0 || row >= batch_)
     throw std::invalid_argument("InferenceSession::snapshot: row out of range");
-  const Index pos = pos_[static_cast<std::size_t>(row)];
-  if (pos == 0)
+  if (position(row) == 0)
     throw std::logic_error("InferenceSession::snapshot before any step()");
-  const Index d = c.d_model;
   KvState s;
-  s.len = pos;
-  s.k.resize(static_cast<std::size_t>(c.n_layers));
-  s.v.resize(static_cast<std::size_t>(c.n_layers));
-  for (Index l = 0; l < c.n_layers; ++l) {
-    const float* kc =
-        kcache_[static_cast<std::size_t>(l)].data() + row * c.context * d;
-    const float* vc =
-        vcache_[static_cast<std::size_t>(l)].data() + row * c.context * d;
-    s.k[static_cast<std::size_t>(l)].assign(kc, kc + pos * d);
-    s.v[static_cast<std::size_t>(l)].assign(vc, vc + pos * d);
-  }
+  s.blocks = rows_[static_cast<std::size_t>(row)];
+  s.block_floats = block_floats(model_->config());
   const auto lr = logits_row(row);
   s.logits.assign(lr.begin(), lr.end());
   return s;
@@ -251,27 +231,15 @@ void InferenceSession::resume(Index row, const KvState& state) {
   const Config& c = model_->config();
   if (row < 0 || row >= batch_)
     throw std::invalid_argument("InferenceSession::resume: row out of range");
-  if (state.len < 0 || state.len > c.context)
+  if (state.len() > c.context)
     throw std::invalid_argument("InferenceSession::resume: length out of range");
-  if (static_cast<Index>(state.k.size()) != c.n_layers ||
-      static_cast<Index>(state.v.size()) != c.n_layers)
-    throw std::invalid_argument("InferenceSession::resume: layer count mismatch");
-  const Index d = c.d_model;
-  const auto floats = static_cast<std::size_t>(state.len * d);
-  for (Index l = 0; l < c.n_layers; ++l)
-    if (state.k[static_cast<std::size_t>(l)].size() < floats ||
-        state.v[static_cast<std::size_t>(l)].size() < floats)
-      throw std::invalid_argument("InferenceSession::resume: short K/V block");
-  const std::size_t bytes = floats * sizeof(float);
-  for (Index l = 0; l < c.n_layers; ++l) {
-    const auto li = static_cast<std::size_t>(l);
-    std::memcpy(kcache_[li].data() + row * c.context * d, state.k[li].data(),
-                bytes);
-    std::memcpy(vcache_[li].data() + row * c.context * d, state.v[li].data(),
-                bytes);
-  }
+  if (state.block_floats != block_floats(c))
+    throw std::invalid_argument("InferenceSession::resume: block size mismatch");
+  for (const KvBlock& block : state.blocks)
+    if (block == nullptr)
+      throw std::invalid_argument("InferenceSession::resume: missing block");
   const auto r = static_cast<std::size_t>(row);
-  pos_[r] = state.len;
+  rows_[r].assign(state.blocks.begin(), state.blocks.end());
   ready_[r] = static_cast<Index>(state.logits.size()) == c.vocab;
   if (ready_[r])
     std::memcpy(logits_.data() + r * static_cast<std::size_t>(c.vocab),
@@ -284,7 +252,7 @@ PrefillCounts InferenceSession::prefill(std::span<const PrefillRow> rows) {
     if (r.tokens.empty())
       throw std::invalid_argument("InferenceSession::prefill: row has no tokens");
     if (r.state != nullptr &&
-        r.state->len > static_cast<Index>(r.tokens.size()))
+        r.state->len() > static_cast<Index>(r.tokens.size()))
       throw std::invalid_argument(
           "InferenceSession::prefill: resume state deeper than the row's "
           "tokens");
@@ -293,7 +261,7 @@ PrefillCounts InferenceSession::prefill(std::span<const PrefillRow> rows) {
   reset(static_cast<Index>(rows.size()));
   // Adjacent rows with the same tokens span and state (a D&C-GEN leaf's
   // rows, a served request's rows) would step identical floats: only the
-  // first of each run steps, and each later row copies the row before it.
+  // first of each run steps, and each later row shares the row before it.
   // The ledger still counts every row's positions.
   const auto repeats = [rows](std::size_t i) {
     return i > 0 && rows[i].state == rows[i - 1].state &&
@@ -305,7 +273,7 @@ PrefillCounts InferenceSession::prefill(std::span<const PrefillRow> rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const PrefillRow& r = rows[i];
     const std::size_t done =
-        r.state != nullptr ? static_cast<std::size_t>(r.state->len) : 0;
+        r.state != nullptr ? static_cast<std::size_t>(r.state->len()) : 0;
     n.saved += done;
     n.tokens += r.tokens.size() - done;
     if (repeats(i)) continue;
@@ -315,7 +283,7 @@ PrefillCounts InferenceSession::prefill(std::span<const PrefillRow> rows) {
   feed_.resize(rows.size());
   for (std::size_t t = 0; t < longest; ++t) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto p = static_cast<std::size_t>(pos_[i]);
+      const std::size_t p = rows_[i].size();
       feed_[i] = !repeats(i) && p < rows[i].tokens.size() ? rows[i].tokens[p]
                                                           : kIdle;
     }
@@ -331,22 +299,11 @@ PrefillCounts InferenceSession::prefill(std::span<const PrefillRow> rows) {
 }
 
 void InferenceSession::copy_row(Index from, Index to) {
-  const Config& c = model_->config();
-  const Index slot = c.context * c.d_model;
   const auto f = static_cast<std::size_t>(from);
   const auto t = static_cast<std::size_t>(to);
-  const auto bytes =
-      static_cast<std::size_t>(pos_[f] * c.d_model) * sizeof(float);
-  for (Index l = 0; l < c.n_layers; ++l) {
-    const auto li = static_cast<std::size_t>(l);
-    std::memcpy(kcache_[li].data() + to * slot,
-                kcache_[li].data() + from * slot, bytes);
-    std::memcpy(vcache_[li].data() + to * slot,
-                vcache_[li].data() + from * slot, bytes);
-  }
-  pos_[t] = pos_[f];
+  rows_[t] = rows_[f];
   ready_[t] = ready_[f];
-  const auto vocab = static_cast<std::size_t>(c.vocab);
+  const auto vocab = static_cast<std::size_t>(model_->config().vocab);
   if (ready_[t])
     std::memcpy(logits_.data() + t * vocab, logits_.data() + f * vocab,
                 vocab * sizeof(float));
@@ -363,7 +320,7 @@ std::span<const float> InferenceSession::logits_row(Index i) const {
 Index InferenceSession::position(Index row) const {
   PPG_DCHECK(row >= 0 && row < batch_, "position(%d) of a %d-row batch",
              static_cast<int>(row), static_cast<int>(batch_));
-  return pos_[static_cast<std::size_t>(row)];
+  return static_cast<Index>(rows_[static_cast<std::size_t>(row)].size());
 }
 
 double sequence_log_prob(const GptModel& model, std::span<const int> ids) {

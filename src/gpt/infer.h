@@ -1,17 +1,20 @@
-// No-autograd batched inference with per-layer KV caches.
+// No-autograd batched inference with cached keys and values.
 //
 // Training goes through nn::Graph; generation volume (millions of guesses)
-// demands a fast path: this session keeps key/value caches per layer so each
-// new token costs O(d² + pos·d) per sequence, processes a whole batch of
-// sequences per step (one GEMM per projection over the rows fed), and
-// allocates all buffers once at reset.
+// demands a fast path: this session keeps every consumed position's keys
+// and values so each new token costs O(d² + pos·d) per sequence, processes
+// a whole batch of sequences per step (one GEMM per projection over the
+// rows fed), and sizes its scratch buffers once at reset.
 //
-// Every row owns a [context, d_model] KV slot and its own position, so rows
-// of one batch may sit at different depths: a row can start fresh, resume
-// from any KvState, or sit a step out (InferenceSession::kIdle) with no
-// compute while keeping its position and logits. A row's floats never
-// depend on which other rows share its step (see kv_cache.h), which is
-// what lets prefill() and the sampler's decode loop mix rows freely.
+// Every row is the list of its positions' KV blocks (KvBlock, attention.h)
+// and its position is their count, so rows of one batch may sit at
+// different depths: a row can start fresh, resume from any KvState, or sit
+// a step out (InferenceSession::kIdle) with no compute while keeping its
+// position and logits. A step writes one new block per fed row; snapshot(),
+// resume() and prefill()'s identical rows share blocks and copy no K/V
+// floats. A row's floats never depend on which other rows share its step
+// (see kv_cache.h), which is what lets prefill() and the sampler's decode
+// loop mix rows freely.
 //
 // Attention runs through gpt::attend (attention.h): all heads of a cached
 // position at once, in SIMD registers, with every float bitwise equal to
@@ -24,7 +27,7 @@
 // prefill() steps identical rows once: adjacent rows with the same tokens
 // span and the same state (a D&C-GEN leaf's rows, a served request's
 // rows) would compute the same floats, so the first of each run steps and
-// the rest copy its K/V, position and logits.
+// the rest share its blocks and copy its logits.
 #pragma once
 
 #include <span>
@@ -49,8 +52,9 @@ constexpr const char* precision_name(Precision p) noexcept {
 
 /// One row of InferenceSession::prefill(): the tokens the row must have
 /// consumed, and optionally a snapshot of a leading part of them to restore
-/// instead of recomputing (state->len <= tokens.size()). The snapshot only
-/// needs to outlive the prefill() call.
+/// instead of recomputing (state->len() <= tokens.size()). The snapshot only
+/// needs to outlive the prefill() call: the row keeps its own references to
+/// the blocks.
 struct PrefillRow {
   std::span<const int> tokens;
   const KvState* state = nullptr;
@@ -71,26 +75,29 @@ class InferenceSession {
   /// it, and its position and logits stay as they were.
   static constexpr int kIdle = -1;
 
-  /// Binds to a model. Buffers are sized lazily at reset(). The model's
+  /// Binds to a model. Scratch is sized lazily at reset(). The model's
   /// derived weight view for `precision` (GptModel::packed() or
   /// quantized()) is built or reused immediately, so its one-time cost
   /// lands here rather than on the first step.
   explicit InferenceSession(const GptModel& model,
                             Precision precision = Precision::kFp32);
 
-  /// Starts `batch` fresh rows at position 0, with no logits. Buffers are
-  /// reused when `batch` fits the largest batch this session has seen, so
-  /// schedulers whose tail batches shrink (D&C-GEN, the serve layer) pay no
+  /// Starts `batch` fresh rows at position 0, with no logits, dropping the
+  /// rows' references to their blocks. Scratch buffers are reused when
+  /// `batch` fits the largest batch this session has seen, so schedulers
+  /// whose tail batches shrink (D&C-GEN, the serve layer) pay no
   /// reallocation; only a growing batch allocates. Re-binds the model's
   /// weight view too, so a session kept across a weight change
   /// (GptModel::load, train_lm) decodes the new weights from here on.
   void reset(Index batch);
 
-  /// Puts row `row` on `state`: its K/V for positions [0, state.len) and,
-  /// when the state carries them, the logits after them — bitwise
-  /// equivalent to stepping the snapshotted tokens on this row (per-row
-  /// float op order is batch invariant; see kv_cache.h). Other rows are
-  /// untouched.
+  /// Puts row `row` on `state`: the row shares the state's blocks for
+  /// positions [0, state.len()) and, when the state carries them, gets the
+  /// logits after them — bitwise equivalent to stepping the snapshotted
+  /// tokens on this row (per-row float op order is batch invariant; see
+  /// kv_cache.h). Other rows are untouched. Throws std::invalid_argument
+  /// for a state longer than the context, written by a model of another
+  /// block size, or missing a block.
   void resume(Index row, const KvState& state);
 
   /// Resets to rows.size() rows and brings every row to the end of its
@@ -98,7 +105,7 @@ class InferenceSession {
   /// at its own position (a row that is done sits out). A row whose state
   /// covers all of its tokens gets the state's logits with no step. A row
   /// with the same tokens span (data and size) and state as the row before
-  /// it copies that row's result instead of stepping.
+  /// it shares that row's blocks and logits instead of stepping.
   /// Afterwards logits_row(i) is the next-token distribution after row i's
   /// tokens. Throws std::invalid_argument for a row with no tokens or a
   /// state deeper than its tokens. Adds both counts to the kv_cache
@@ -112,9 +119,10 @@ class InferenceSession {
   /// Throws when a fed row's context window is exhausted.
   std::span<const float> step(std::span<const int> tokens);
 
-  /// Forks row `row` out of this session: copies its per-layer KV blocks
-  /// for positions [0, position(row)) and its current logits row into a
-  /// standalone KvState. Requires the row to have consumed a token.
+  /// Forks row `row` out of this session: a KvState sharing the row's
+  /// blocks for positions [0, position(row)), with a copy of its current
+  /// logits row. The state stays valid after the session resets or is
+  /// destroyed. Requires the row to have consumed a token.
   KvState snapshot(Index row) const;
 
   /// Logits row for row `i` after the last token it consumed.
@@ -135,8 +143,8 @@ class InferenceSession {
   /// Points the session at the model's current view for precision_.
   void bind_weights();
 
-  /// Gives row `to` row `from`'s K/V for positions [0, position(from)),
-  /// its position and its logits.
+  /// Gives row `to` row `from`'s blocks, and with them its position, and
+  /// its logits.
   void copy_row(Index from, Index to);
 
   /// The layers, final layernorm and lm_head of one step over views `w`,
@@ -159,16 +167,17 @@ class InferenceSession {
   std::shared_ptr<const PackedWeights> pweights_;
   std::shared_ptr<const QuantizedWeights> qweights_;
   Index batch_ = 0;
-  Index capacity_ = 0;  ///< largest batch the buffers are sized for
-  /// Per row: next position to feed, and whether logits_ holds its logits
+  Index capacity_ = 0;  ///< largest batch the scratch is sized for
+  /// Per row: the blocks of the positions it has consumed, in order (its
+  /// next position is their count), and whether logits_ holds its logits
   /// (set by step() and by resuming a state that carries logits).
-  std::vector<Index> pos_;
+  std::vector<std::vector<KvBlock>> rows_;
   std::vector<char> ready_;
   /// Rows fed by the current step, ascending.
   std::vector<Index> live_;
-  // Per layer: K and V caches, [batch, context, d_model] flattened; row i
-  // owns the [context, d_model] slot at offset i * context * d_model.
-  std::vector<std::vector<float>> kcache_, vcache_;
+  /// The current step's new block for each fed row, by activation row:
+  /// forward() writes each layer's K and V into it.
+  std::vector<float*> fresh_;
   // Scratch buffers reused across steps, indexed by activation row.
   std::vector<float> x_, h_, qkv_, att_, ff_;
   std::vector<float> logits_;      ///< [batch, vocab], by session row

@@ -20,10 +20,9 @@ KvCacheMetrics& kv_cache_metrics() {
 }
 
 std::size_t KvState::bytes() const noexcept {
-  std::size_t total = logits.size() * sizeof(float);
-  for (const auto& blk : k) total += blk.size() * sizeof(float);
-  for (const auto& blk : v) total += blk.size() * sizeof(float);
-  return total;
+  return (blocks.size() * static_cast<std::size_t>(block_floats) +
+          logits.size()) *
+         sizeof(float);
 }
 
 /// One trie node: an edge token from its parent, children by token id, and
@@ -213,7 +212,7 @@ const KvState* KvTrieCache::Handle::state() const noexcept {
 
 Index KvTrieCache::Handle::len() const noexcept {
   const KvState* s = state();
-  return s == nullptr ? 0 : s->len;
+  return s == nullptr ? 0 : s->len();
 }
 
 }  // namespace ppg::gpt

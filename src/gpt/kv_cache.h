@@ -7,14 +7,16 @@
 // a division task's prefix is its parent's plus one token, a leaf's prefix
 // is its parent division's plus one token, and repeated serve requests
 // share their whole `<BOS> pattern <SEP>` prefix. Re-stepping the full
-// prefix recomputes per-layer K/V blocks an ancestor already produced.
-// This store memoises them:
+// prefix recomputes K/V an ancestor already produced. This store memoises
+// them:
 //
-//  * KvState is one sequence's immutable per-layer K/V blocks for
-//    positions [0, len) plus the logits after token len-1 — everything a
-//    session row needs to continue decoding as if it had stepped the
+//  * KvState is one sequence's K/V blocks (KvBlock, attention.h) for
+//    positions [0, len()) plus the logits after token len()-1 — everything
+//    a session row needs to continue decoding as if it had stepped the
 //    prefix itself (InferenceSession::resume, which prefill() applies to
-//    each row at its own depth).
+//    each row at its own depth). Blocks are immutable once their step has
+//    written them, so rows and states share them by reference and a child
+//    state holds its parent's blocks plus one.
 //  * KvTrieCache is a trie over token ids whose nodes own KvStates,
 //    ref-counted by RAII Handles (a pinned node is never evicted) with
 //    LRU eviction of unpinned nodes under a byte budget.
@@ -27,15 +29,17 @@
 // layernorm, attention and GELU are per-row). That holds for which rows
 // share a step, their positions, and rows sitting a step out, so ragged
 // batches decode each row exactly as it would run alone, and prefill()
-// may step one of several identical rows and copy its state to the rest.
-// A cache hit therefore changes *where* the floats come from, never their
-// values — the differential suite in tests/kv_cache_test.cpp locks this
+// may step one of several identical rows and share its blocks with the
+// rest. A cache hit therefore changes *where* the floats come from, never
+// their values — the differential suite in tests/kv_cache_test.cpp locks this
 // down across thread counts and eviction-forcing budgets, and
 // tests/decode_golden_test.cpp pins the sampled outputs themselves.
 //
 // Thread safety: all member functions are safe to call concurrently; the
 // store takes one mutex per operation (trivial next to a model forward).
-// KvStates are immutable after insert, so pinned readers need no lock.
+// KvStates are immutable after insert and blocks after their step, so
+// pinned readers and rows sharing blocks across threads need no lock (a
+// block's reference count is atomic).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +49,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "gpt/attention.h"
 #include "nn/tensor.h"
 #include "obs/metrics.h"
 
@@ -52,15 +57,21 @@ namespace ppg::gpt {
 
 using nn::Index;
 
-/// One sequence's KV snapshot: per-layer K and V blocks covering positions
-/// [0, len), plus the next-token logits after token len-1. Immutable once
-/// inside the cache.
+/// One sequence's KV snapshot: the blocks of positions [0, len()), shared
+/// with the session row and any other state that holds them, plus the
+/// next-token logits after token len()-1. Immutable once inside the cache.
 struct KvState {
-  Index len = 0;                         ///< positions covered
-  std::vector<std::vector<float>> k, v;  ///< per layer, len * d_model
-  std::vector<float> logits;             ///< vocab, after token len-1
+  std::vector<KvBlock> blocks;  ///< one per position, in order
+  /// Floats per block, 2·n_layers·d_model of the model that wrote them.
+  Index block_floats = 0;
+  std::vector<float> logits;  ///< vocab, after token len()-1
 
-  /// Payload size (the eviction budget's unit).
+  /// Positions covered.
+  Index len() const noexcept { return static_cast<Index>(blocks.size()); }
+
+  /// Payload size, the eviction budget's unit: every block the state holds
+  /// plus its logits. States share blocks, so summed over the cache this
+  /// is an upper bound on the resident bytes, not their count.
   std::size_t bytes() const noexcept;
 };
 
@@ -87,8 +98,8 @@ class KvTrieCache {
   /// An empty handle when no prefix of it is cached.
   Handle find_longest(std::span<const int> prefix);
 
-  /// Stores `state` under `prefix` (state.len need not equal
-  /// prefix.size(); D&C-GEN and serve always insert state.len ==
+  /// Stores `state` under `prefix` (state.len() need not equal
+  /// prefix.size(); D&C-GEN and serve always insert state.len() ==
   /// prefix.size()). First insert wins: re-inserting an existing prefix
   /// keeps the resident state (cached and recomputed states are bitwise
   /// equal by the determinism contract, so which copy survives is

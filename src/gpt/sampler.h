@@ -94,7 +94,7 @@ void sample_rows(InferenceSession& session, std::span<const SampleRow> rows,
 /// paper's repeat-rate phenomenon). Undecodable sequences are replaced by
 /// fresh draws until `count` is reached or 4·count sequences have run.
 ///
-/// When `resume` covers a leading part of `prefix` (resume->len <=
+/// When `resume` covers a leading part of `prefix` (resume->len() <=
 /// prefix.size()), every batch restores those positions from the snapshot
 /// and primes only the remainder — bitwise identical to priming the whole
 /// prefix (see kv_cache.h), just cheaper. A deeper snapshot throws

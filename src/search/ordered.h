@@ -114,7 +114,7 @@ struct ScoredGuess {
 /// context. `allowed` lists the tokens each step may take (step counts
 /// tokens generated after the prefix; empty: every token), and an
 /// expansion scores only those. When `resume` covers a leading part
-/// of the prefix (resume->len <= prefix.size()), the root expansion
+/// of the prefix (resume->len() <= prefix.size()), the root expansion
 /// restores those positions instead of re-priming them (a deeper snapshot
 /// makes the first next() throw std::invalid_argument); the snapshot must
 /// stay alive until the first next() call returns.

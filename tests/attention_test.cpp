@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,6 +44,22 @@ std::vector<float> uniform(std::size_t n, Rng& rng) {
   return out;
 }
 
+/// A row of `positions` KV blocks for a two-layer model of width d, every
+/// float uniform; attending at layer 1 (offset 2·d) reads each block's
+/// second half.
+constexpr Index kLayers = 2;
+std::vector<KvBlock> uniform_blocks(Index positions, Index d, Rng& rng) {
+  std::vector<KvBlock> blocks;
+  for (Index s = 0; s < positions; ++s) {
+    const std::vector<float> floats =
+        uniform(static_cast<std::size_t>(2 * kLayers * d), rng);
+    auto block = std::make_shared_for_overwrite<float[]>(floats.size());
+    std::memcpy(block.get(), floats.data(), floats.size() * sizeof(float));
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
 bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
@@ -70,24 +87,28 @@ TEST(AttentionKernel, MatchesReferenceBitwiseAtEveryPosition) {
   Rng rng(7);
   for (const NamedShape& s : model_shapes()) {
     const AttentionShape& a = s.shape;
-    const auto slot = static_cast<std::size_t>(a.context * a.d);
-    const std::vector<float> k = uniform(slot, rng), v = uniform(slot, rng);
+    const std::vector<KvBlock> blocks = uniform_blocks(a.context, a.d, rng);
     std::vector<float> scores(static_cast<std::size_t>(a.heads * a.context));
     std::vector<float> want(static_cast<std::size_t>(a.d));
     std::vector<float> got(want.size());
     for (Index pos = 0; pos < a.context; ++pos) {
       const std::vector<float> q = uniform(want.size(), rng);
-      attend_reference(a, q.data(), k.data(), v.data(), pos, scores.data(),
-                       want.data());
-      attend(a, q.data(), k.data(), v.data(), pos, scores.data(), got.data());
-      ASSERT_TRUE(same_bits(want, got)) << s.name << " pos " << pos;
+      for (Index layer = 0; layer < kLayers; ++layer) {
+        const Index offset = 2 * layer * a.d;
+        attend_reference(a, q.data(), blocks.data(), offset, pos,
+                         scores.data(), want.data());
+        attend(a, q.data(), blocks.data(), offset, pos, scores.data(),
+               got.data());
+        ASSERT_TRUE(same_bits(want, got))
+            << s.name << " pos " << pos << " layer " << layer;
+      }
     }
   }
 }
 
 TEST(AttentionKernel, RaggedRowsWithIdleRowsMatchReference) {
-  // Rows of one [rows, context, d] cache at different positions, attended
-  // one after another through one shared score buffer as the session does;
+  // Rows with their own block lists at different positions, attended one
+  // after another through one shared score buffer as the session does;
   // idle rows are skipped and their outputs stay untouched.
   Rng rng(8);
   constexpr Index kIdle = -1;
@@ -95,22 +116,22 @@ TEST(AttentionKernel, RaggedRowsWithIdleRowsMatchReference) {
   const auto rows = static_cast<Index>(positions.size());
   for (const NamedShape& s : model_shapes()) {
     const AttentionShape& a = s.shape;
-    const std::vector<float> k = uniform(
-        static_cast<std::size_t>(rows * a.context * a.d), rng);
-    const std::vector<float> v = uniform(k.size(), rng);
+    std::vector<std::vector<KvBlock>> blocks;
+    for (Index r = 0; r < rows; ++r)
+      blocks.push_back(uniform_blocks(a.context, a.d, rng));
     const std::vector<float> q =
         uniform(static_cast<std::size_t>(rows * a.d), rng);
     std::vector<float> shared(static_cast<std::size_t>(a.heads * a.context));
     std::vector<float> own(shared.size());
     std::vector<float> got(q.size(), 0.5f), want(q.size(), 0.5f);
+    const Index offset = 2 * a.d;  // layer 1
     for (Index r = 0; r < rows; ++r) {
       const Index pos = positions[static_cast<std::size_t>(r)];
       if (pos == kIdle) continue;
-      const Index slot = r * a.context * a.d;
-      attend(a, q.data() + r * a.d, k.data() + slot, v.data() + slot, pos,
-             shared.data(), got.data() + r * a.d);
-      attend_reference(a, q.data() + r * a.d, k.data() + slot,
-                       v.data() + slot, pos, own.data(),
+      const KvBlock* row = blocks[static_cast<std::size_t>(r)].data();
+      attend(a, q.data() + r * a.d, row, offset, pos, shared.data(),
+             got.data() + r * a.d);
+      attend_reference(a, q.data() + r * a.d, row, offset, pos, own.data(),
                        want.data() + r * a.d);
     }
     EXPECT_TRUE(same_bits(want, got)) << s.name;

@@ -1,6 +1,8 @@
 // KV-cache test suite (DESIGN.md §10): trie-store properties (refcounts,
 // LRU eviction, byte budget), snapshot/resume bitwise equivalence against
-// prefill()/step(), and the differential determinism suite — dc_generate
+// prefill()/step(), shared K/V blocks (rows and states alias one another's
+// blocks, outlive their writers, and resume() rejects foreign or broken
+// states), and the differential determinism suite — dc_generate
 // with the cache enabled must be byte-identical to the cache disabled for
 // any seed, thread count, and byte budget (including budgets tiny enough
 // to evict on every insert).
@@ -8,6 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -25,21 +28,27 @@
 namespace ppg::gpt {
 namespace {
 
-/// A small synthetic KvState with recognisable contents.
+/// A small synthetic KvState with recognisable contents: layer l's K
+/// floats are base + l and its V floats base - l at every position.
 KvState make_state(Index len, int layers, Index d, Index vocab, float base) {
   KvState s;
-  s.len = len;
-  s.k.resize(static_cast<std::size_t>(layers));
-  s.v.resize(static_cast<std::size_t>(layers));
-  for (int l = 0; l < layers; ++l) {
-    s.k[static_cast<std::size_t>(l)].assign(
-        static_cast<std::size_t>(len * d), base + float(l));
-    s.v[static_cast<std::size_t>(l)].assign(
-        static_cast<std::size_t>(len * d), base - float(l));
+  s.block_floats = 2 * layers * d;
+  for (Index pos = 0; pos < len; ++pos) {
+    auto block = std::make_shared_for_overwrite<float[]>(
+        static_cast<std::size_t>(s.block_floats));
+    for (int l = 0; l < layers; ++l)
+      for (Index i = 0; i < d; ++i) {
+        block[2 * l * d + i] = base + float(l);
+        block[2 * l * d + d + i] = base - float(l);
+      }
+    s.blocks.push_back(std::move(block));
   }
   s.logits.assign(static_cast<std::size_t>(vocab), base * 2.f);
   return s;
 }
+
+/// Layer 0's first K float of `s` at position 0.
+float first_k(const KvState& s) { return s.blocks[0][0]; }
 
 TEST(KvTrieCache, InsertFindRoundTrip) {
   KvTrieCache cache(std::size_t(1) << 20);
@@ -50,8 +59,8 @@ TEST(KvTrieCache, InsertFindRoundTrip) {
   ASSERT_TRUE(h);
   EXPECT_EQ(h.len(), 3);
   ASSERT_NE(h.state(), nullptr);
-  EXPECT_EQ(h.state()->k[0][0], 1.f);
-  EXPECT_EQ(h.state()->v[1][0], 0.f);
+  EXPECT_EQ(first_k(*h.state()), 1.f);
+  EXPECT_EQ(h.state()->blocks[0][2 * 4 + 4], 0.f);  // layer 1's first V
   EXPECT_EQ(cache.nodes(), 1u);
   EXPECT_EQ(cache.bytes(), h.state()->bytes());
 }
@@ -64,7 +73,7 @@ TEST(KvTrieCache, FindLongestReturnsDeepestAncestor) {
   auto h = cache.find_longest(query);
   ASSERT_TRUE(h);
   EXPECT_EQ(h.len(), 3);
-  EXPECT_EQ(h.state()->k[0][0], 3.f);
+  EXPECT_EQ(first_k(*h.state()), 3.f);
   // A query sharing only the first token resolves to the depth-1 state.
   auto h1 = cache.find_longest(std::vector<int>{1, 9});
   ASSERT_TRUE(h1);
@@ -83,7 +92,7 @@ TEST(KvTrieCache, FirstInsertWins) {
   EXPECT_EQ(cache.bytes(), bytes);
   auto h = cache.find(p);
   ASSERT_TRUE(h);
-  EXPECT_EQ(h.state()->k[0][0], 1.f);  // the original survived
+  EXPECT_EQ(first_k(*h.state()), 1.f);  // the original survived
 }
 
 TEST(KvTrieCache, BudgetRespectedWhenUnpinned) {
@@ -116,7 +125,7 @@ TEST(KvTrieCache, EvictionNeverFreesPinnedNode) {
   for (int i = 10; i < 20; ++i)
     cache.insert(std::vector<int>{i}, make_state(2, 1, 4, 8, float(i)));
   ASSERT_NE(pin.state(), nullptr);
-  EXPECT_EQ(pin.state()->k[0][0], 7.f);
+  EXPECT_EQ(first_k(*pin.state()), 7.f);
   EXPECT_EQ(pin.state()->logits[0], 14.f);
   auto again = cache.find(std::vector<int>{1});
   EXPECT_TRUE(again);
@@ -207,7 +216,7 @@ TEST(KvTrieCache, ConcurrentInsertFindEvictStress) {
           auto h = cache.find_longest(prefix);
           if (h) {
             // Read through the pin; eviction must never free this.
-            volatile float sink = h.state()->k[0][0];
+            volatile float sink = first_k(*h.state());
             (void)sink;
             EXPECT_LE(h.len(), 2);
           }
@@ -238,7 +247,7 @@ TEST(KvSessionResume, FullDepthResumeRestoresLogitsBitwise) {
   InferenceSession ref(model);
   const auto ref_logits = testing::prefill_one(ref, prefix);
   const KvState snap = ref.snapshot(0);
-  EXPECT_EQ(snap.len, static_cast<Index>(prefix.size()));
+  EXPECT_EQ(snap.len(), static_cast<Index>(prefix.size()));
 
   InferenceSession resumed(model);
   resumed.reset(3);  // fan one snapshot out to a 3-row batch
@@ -349,8 +358,8 @@ TEST(KvSessionResume, ResumeRowsMixedStatesMatchPerRowReference) {
 
 TEST(KvSessionResume, IdenticalPrefillRowsStepOnceAndMatchSoloRuns) {
   // A D&C-GEN leaf's rows share one prefix span and one state. prefill()
-  // steps the first row of such a run and copies its K/V, position and
-  // logits to the others, so the model steps one row's remaining
+  // steps the first row of such a run and shares its blocks and logits
+  // with the others, so the model steps one row's remaining
   // positions instead of four; every row still reads as if it ran alone,
   // and the returned ledger still counts every row.
   const auto& model = test_model();
@@ -384,6 +393,161 @@ TEST(KvSessionResume, IdenticalPrefillRowsStepOnceAndMatchSoloRuns) {
     EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
         << "row " << r;
   }
+}
+
+/// Whether `a` holds exactly `b`'s blocks for its first b.len() positions:
+/// the same pointers, so no float was copied between them.
+bool shares_blocks(const KvState& a, const KvState& b) {
+  if (a.len() < b.len()) return false;
+  for (Index p = 0; p < b.len(); ++p)
+    if (a.blocks[static_cast<std::size_t>(p)] !=
+        b.blocks[static_cast<std::size_t>(p)])
+      return false;
+  return true;
+}
+
+TEST(KvSharedBlocks, PrefillAndResumeShareBlocksWithTheirSource) {
+  const auto& model = test_model();
+  const auto prefix = test_prefix();
+  const std::size_t cut = prefix.size() - 2;
+  InferenceSession half(model);
+  testing::prefill_one(half, std::span<const int>(prefix).first(cut));
+  const KvState snap = half.snapshot(0);
+  ASSERT_EQ(snap.len(), static_cast<Index>(cut));
+
+  // Identical prefill rows: row 0 steps; rows 1 and 2 hold its blocks,
+  // including the ones past the snapshot that row 0 wrote.
+  InferenceSession s(model);
+  s.prefill(std::vector<PrefillRow>(3, PrefillRow{prefix, &snap}));
+  const KvState first = s.snapshot(0);
+  EXPECT_EQ(first.len(), static_cast<Index>(prefix.size()));
+  EXPECT_TRUE(shares_blocks(first, snap));
+  for (Index r = 1; r < 3; ++r) {
+    const KvState other = s.snapshot(r);
+    EXPECT_EQ(other.len(), first.len());
+    EXPECT_TRUE(shares_blocks(other, first)) << "row " << r;
+  }
+
+  // A resumed row holds the state's blocks; stepping it appends a block
+  // to the row's list and leaves the state's list as it was.
+  InferenceSession resumed(model);
+  resumed.reset(1);
+  resumed.resume(0, snap);
+  EXPECT_TRUE(shares_blocks(resumed.snapshot(0), snap));
+  resumed.step(std::vector<int>{prefix[cut]});
+  const KvState stepped = resumed.snapshot(0);
+  EXPECT_EQ(stepped.len(), snap.len() + 1);
+  EXPECT_TRUE(shares_blocks(stepped, snap));
+  EXPECT_EQ(snap.len(), static_cast<Index>(cut));
+}
+
+TEST(KvSharedBlocks, StateOutlivesItsSessionAndItsCacheEntry) {
+  const auto& model = test_model();
+  const auto prefix = test_prefix();
+  const std::size_t cut = prefix.size() - 2;
+  const std::span<const int> head = std::span<const int>(prefix).first(cut);
+  InferenceSession solo(model);
+  const auto full = testing::prefill_one(solo, prefix);
+  const std::vector<float> want(full.begin(), full.end());
+
+  // The session that wrote the blocks resets, then is destroyed.
+  KvState snap;
+  {
+    InferenceSession writer(model);
+    testing::prefill_one(writer, head);
+    snap = writer.snapshot(0);
+    writer.reset(2);
+  }
+  InferenceSession after(model);
+  const auto got = testing::prefill_one(after, prefix, &snap);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
+
+  // The trie evicts the state while a row resumed from it still holds its
+  // blocks: the row finishes the prefix as if nothing happened.
+  KvTrieCache cache(snap.bytes());  // room for one state
+  const std::vector<int> key(head.begin(), head.end());
+  cache.insert(key, std::move(snap));
+  InferenceSession row(model);
+  row.reset(1);
+  {
+    auto pin = cache.find(key);
+    ASSERT_TRUE(pin);
+    row.resume(0, *pin.state());
+  }
+  const Config& c = model.config();
+  cache.insert(std::vector<int>{99},
+               make_state(static_cast<Index>(cut), static_cast<int>(c.n_layers),
+                          c.d_model, c.vocab, 5.f));
+  EXPECT_FALSE(cache.find(key));  // evicted
+  for (std::size_t p = cut; p < prefix.size(); ++p)
+    row.step(std::vector<int>{prefix[p]});
+  const auto resumed = row.logits_row(0);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), resumed.begin()));
+}
+
+// For the TSan job: two threads resume one cached state at once, each on
+// its own session, and step on from the same shared blocks.
+TEST(KvSharedBlocks, ThreadsStepFromOneCachedStateConcurrently) {
+  const auto& model = test_model();
+  const auto prefix = test_prefix();
+  const std::size_t cut = prefix.size() - 2;
+  const std::span<const int> head = std::span<const int>(prefix).first(cut);
+  InferenceSession solo(model);
+  const auto full = testing::prefill_one(solo, prefix);
+  const std::vector<float> want(full.begin(), full.end());
+
+  KvTrieCache cache(std::size_t(1) << 20);
+  {
+    InferenceSession writer(model);
+    testing::prefill_one(writer, head);
+    cache.insert(head, writer.snapshot(0));
+  }
+  std::vector<std::vector<float>> got(2);
+  std::vector<std::thread> threads;  // test-only; prod code uses ThreadPool
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      InferenceSession s(model);
+      for (int round = 0; round < 20; ++round) {
+        auto pin = cache.find(head);
+        const auto logits = testing::prefill_one(s, prefix, pin.state());
+        got[t].assign(logits.begin(), logits.end());
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (const auto& g : got) EXPECT_EQ(g, want);
+  EXPECT_EQ(cache.pinned_nodes(), 0u);
+}
+
+TEST(KvSharedBlocks, ResumeRejectsForeignShortOrLongStates) {
+  const auto& model = test_model();
+  const auto prefix = test_prefix();
+  InferenceSession s(model);
+  testing::prefill_one(s, prefix);
+  const KvState snap = s.snapshot(0);
+  InferenceSession target(model);
+  target.reset(1);
+
+  EXPECT_THROW(target.resume(1, snap), std::invalid_argument);  // no row 1
+
+  // A state from a model of another width: its blocks have another size.
+  const GptModel wider(Config::small(), 33);
+  InferenceSession other(wider);
+  testing::prefill_one(other, prefix);
+  EXPECT_THROW(target.resume(0, other.snapshot(0)), std::invalid_argument);
+
+  KvState holed = snap;
+  holed.blocks[1] = nullptr;
+  EXPECT_THROW(target.resume(0, holed), std::invalid_argument);
+
+  KvState too_long = snap;
+  too_long.blocks.resize(static_cast<std::size_t>(model.config().context) + 1,
+                         snap.blocks[0]);
+  EXPECT_THROW(target.resume(0, too_long), std::invalid_argument);
+
+  // Each rejection leaves the row as it was.
+  EXPECT_EQ(target.position(0), 0);
+  target.resume(0, snap);
+  EXPECT_EQ(target.position(0), snap.len());
 }
 
 /// Pattern mix exercising divisions at several depths and leaf sizes.

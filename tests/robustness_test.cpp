@@ -1,6 +1,9 @@
 // Failure injection and hostile-input robustness across modules.
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -18,7 +21,14 @@ namespace fs = std::filesystem;
 class CheckpointCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (fs::temp_directory_path() / "ppg_robust.ckpt").string();
+    // Unique per process and case: gtest_discover_tests runs each case as
+    // its own ctest process, in parallel, and a shared file would let one
+    // case's TearDown delete another's checkpoint mid-test.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = (fs::temp_directory_path() /
+             ("ppg_robust_" + std::to_string(::getpid()) + "_" +
+              info->name() + ".ckpt"))
+                .string();
     gpt::GptModel m(gpt::Config::tiny(), 1);
     m.save(path_);
   }

@@ -145,7 +145,7 @@ TEST(SamplePasswords, RejectsResumeStateDeeperThanPrefix) {
   InferenceSession s(m);
   testing::prefill_one(s, deeper);
   const KvState state = s.snapshot(0);
-  ASSERT_GT(state.len, static_cast<Index>(prefix.size()));
+  ASSERT_GT(state.len(), static_cast<Index>(prefix.size()));
   SampleOptions opts;
   opts.batch_size = 4;
   Rng rng(11);
