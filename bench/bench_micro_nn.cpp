@@ -1,15 +1,18 @@
 // Microbenchmarks of the nn/gpt substrate (google-benchmark): GEMM kernels,
 // the decode-shape projections (row-major vs column-panel), fused
 // attention forward+backward, full training steps, decode throughput of
-// the KV-cache inference path, and its attention alone.
+// the KV-cache inference path, its attention alone, and ordered-search
+// expansion rounds of one or many enumerators sharing a step.
 //
 // `--track-dir=DIR` (consumed before google-benchmark sees argv) appends
 // one perf-trajectory record to DIR/BENCH_micro_nn.json with every
-// benchmark's per-iteration wall time (_ms) and items/sec — the trajectory
-// ppg_perfgate gates against. All other flags pass through to
-// google-benchmark (--benchmark_filter, --benchmark_min_time, ...).
+// benchmark's per-iteration wall time (_ms), items/sec and other counters
+// — the trajectory ppg_perfgate gates against. All other flags pass
+// through to google-benchmark (--benchmark_filter, --benchmark_min_time,
+// ...).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/masks.h"
 #include "gpt/attention.h"
 #include "gpt/infer.h"
 #include "gpt/model.h"
@@ -27,6 +31,8 @@
 #include "nn/packed.h"
 #include "nn/quant.h"
 #include "obs/bench_track.h"
+#include "pcfg/pattern.h"
+#include "search/ordered.h"
 #include "tokenizer/tokenizer.h"
 
 namespace {
@@ -260,6 +266,70 @@ void register_attention_cells() {
   }
 }
 
+/// Ordered-search expansion cells: E enumerators on random-init small
+/// (d32, 2 layers) and paper (d256, 12 layers) models, each best-first
+/// over its own D&C-GEN-style leaf prefix (pattern L4N2 with one letter
+/// fixed) under the pattern's mask, stepped together by one
+/// search::Expander for 32 rounds an iteration (the root round, then one
+/// expansion each a round). E = 1 is the one-row path serve takes; E = 8
+/// is D&C-GEN's in-flight count. Named BM_OrderedExpansion_<model>/<E>;
+/// items/sec counts expansions and us_per_expansion is its inverse.
+void register_ordered_expansion_cells() {
+  for (const auto& [model_name, cfg] :
+       {std::pair{"small", gpt::Config::small()},
+        std::pair{"paper", gpt::Config::paper()}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_OrderedExpansion_") + model_name).c_str(),
+        [cfg](benchmark::State& state) {
+          constexpr int kRounds = 32;
+          const auto count = static_cast<std::size_t>(state.range(0));
+          const gpt::GptModel model(cfg, 6);
+          const auto pattern = pcfg::parse_pattern("L4N2");
+          const gpt::AllowedTokens mask = core::make_pattern_mask(*pattern, 1);
+          std::vector<std::vector<int>> prefixes;
+          for (std::size_t e = 0; e < count; ++e) {
+            prefixes.push_back(
+                tok::Tokenizer::encode_generation_prefix(*pattern));
+            prefixes.back().push_back(
+                tok::Tokenizer::char_token(static_cast<char>('a' + e)));
+          }
+          gpt::InferenceSession session(model);
+          search::Expander expander;
+          std::int64_t expansions = 0;
+          double seconds = 0;
+          for (auto _ : state) {
+            const auto start = std::chrono::steady_clock::now();
+            std::vector<std::unique_ptr<search::OrderedEnumerator>> group;
+            for (const std::vector<int>& prefix : prefixes)
+              group.push_back(std::make_unique<search::OrderedEnumerator>(
+                  model, prefix, search::OrderedOptions{}, mask));
+            for (int round = 0; round < kRounds; ++round) {
+              for (auto& e : group) {
+                search::Advance a = e->advance();
+                while (a.kind == search::Advance::Kind::kGuess)
+                  a = e->advance();
+                if (a.kind == search::Advance::Kind::kExpand) {
+                  expander.add(*e, a.expansion);
+                  ++expansions;
+                }
+              }
+              expander.run(session);
+            }
+            benchmark::DoNotOptimize(group.front()->stats().heap_peak);
+            seconds += std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+          }
+          state.SetItemsProcessed(expansions);
+          state.counters["us_per_expansion"] =
+              seconds * 1e6 / static_cast<double>(expansions);
+        })
+        ->Arg(1)
+        ->Arg(8)
+        ->Unit(benchmark::kMillisecond);
+  }
+}
+
 /// Per-backend variants, registered at startup for whatever tables this
 /// machine can run (scalar always; avx2/avx512 when the CPU has them).
 /// Names carry the backend (BM_GemmNN_avx2/128) so the perf trajectory
@@ -356,9 +426,10 @@ class TrackingReporter : public benchmark::ConsoleReporter {
       if (run.iterations > 0)
         metrics[key + "_ms"] =
             run.real_accumulated_time * 1e3 / double(run.iterations);
-      const auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end())
-        metrics[key + "_items_per_sec"] = double(items->second);
+      for (const auto& [name, counter] : run.counters)
+        metrics[key + "_" +
+                (name == "items_per_second" ? "items_per_sec" : name)] =
+            double(counter);
     }
   }
 };
@@ -382,6 +453,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(fwd_argc, fwd.data())) return 1;
   register_backend_benchmarks();
   register_attention_cells();
+  register_ordered_expansion_cells();
 
   TrackingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -109,6 +109,11 @@ constexpr std::size_t kDivisionBatch = 64;
 /// trie evicts to fit and never drops a frontier node, so no guess depends
 /// on it.
 constexpr std::size_t kOrderedCacheBytes = std::size_t(32) << 20;
+/// Ordered leaves each leaf thread keeps in flight; their pending
+/// expansions share one prefill and one step (search::Expander). A step of
+/// 8 small-model rows costs about 4 one-row steps; many more in flight and
+/// the leaves' frontiers and tries spill the core's cache.
+constexpr std::size_t kOrderedLeavesInFlight = 8;
 
 constexpr std::uint32_t kPlanMagic = 0x50504450;    // "PPDP"
 constexpr std::uint32_t kPlanVersion = 1;
@@ -553,51 +558,123 @@ std::vector<std::string> dc_generate(const gpt::GptModel& model,
       log_info("dcgen journal: %zu of %zu leaves already complete",
                local.resumed_leaves, leaves.size());
   }
-  const auto run_leaf = [&](std::size_t leaf_idx) {
-    if (leaf_done[leaf_idx]) return;
-    obs::Span leaf_span("dcgen/leaf", "dcgen");
-    const Task& t = leaves[leaf_idx];
-    const auto count = static_cast<std::size_t>(std::llround(t.n));
-    if (count == 0) return;
-    Rng rng(seed ^ hash64("dcgen-leaf"), std::to_string(leaf_idx));
-    const gpt::AllowedTokens allowed =
-        make_pattern_mask(*t.pattern, t.chars_done);
-    // A leaf's parent prefix was snapshotted when it was divided, so the
-    // deepest cached ancestor usually covers all but the last token. The
-    // handle pins the state for the duration of the sampling call.
-    gpt::KvTrieCache::Handle hit;
-    if (cache) hit = cache->find_longest(t.prefix);
-    if (cfg.leaf_mode == LeafMode::kOrdered) {
-      // Best-first leaf: the quota becomes "the leaf's top-`count` most
-      // likely passwords". No RNG touches the output, so thread-count
-      // invariance holds trivially; the run-level cache hit only changes
-      // prefill work (bitwise resume contract), never the guesses.
-      search::OrderedOptions sopts;
-      sopts.cache_bytes = kOrderedCacheBytes;
-      sopts.max_expansions = cfg.ordered_max_expansions;
-      sopts.max_guesses = count;
-      search::OrderedEnumerator enumerator(model, t.prefix, sopts, allowed,
-                                           hit ? hit.state() : nullptr);
-      auto& out = leaf_out[leaf_idx];
-      out.reserve(count);
-      while (auto g = enumerator.next()) out.push_back(std::move(g->password));
-      leaf_stats[leaf_idx].sequences_run = enumerator.stats().nodes_expanded;
-      leaf_stats[leaf_idx].invalid = enumerator.stats().invalid;
-      leaf_stats[leaf_idx].prefill_tokens = enumerator.stats().prefill_tokens;
-      leaf_stats[leaf_idx].prefill_saved = enumerator.stats().prefill_saved;
-    } else {
-      leaf_out[leaf_idx] =
-          gpt::sample_passwords(model, t.prefix, count, rng, cfg.sample,
-                                allowed, &leaf_stats[leaf_idx],
-                                hit ? hit.state() : nullptr);
-    }
+  const auto leaf_count = [&](std::size_t leaf_idx) {
+    return static_cast<std::size_t>(std::llround(leaves[leaf_idx].n));
+  };
+  // A leaf's output is final: count it, journal it.
+  const auto leaf_finished = [&](std::size_t leaf_idx) {
     DcMetrics::get().emitted.inc(leaf_out[leaf_idx].size());
     if (ledger) ledger->append(leaf_idx, leaf_out[leaf_idx]);
     PPG_FAILPOINT("dcgen.leaf.done");
   };
+  // A leaf's parent prefix was snapshotted when it was divided, so the
+  // deepest cached ancestor usually covers all but the last token. The
+  // handle pins the state while the leaf needs it.
+  const auto cached_ancestor = [&](std::size_t leaf_idx) {
+    return cache ? cache->find_longest(leaves[leaf_idx].prefix)
+                 : gpt::KvTrieCache::Handle{};
+  };
+  const auto run_leaf = [&](std::size_t leaf_idx) {
+    if (leaf_done[leaf_idx]) return;
+    obs::Span leaf_span("dcgen/leaf", "dcgen");
+    const Task& t = leaves[leaf_idx];
+    const std::size_t count = leaf_count(leaf_idx);
+    if (count == 0) return;
+    Rng rng(seed ^ hash64("dcgen-leaf"), std::to_string(leaf_idx));
+    const gpt::KvTrieCache::Handle hit = cached_ancestor(leaf_idx);
+    leaf_out[leaf_idx] = gpt::sample_passwords(
+        model, t.prefix, count, rng, cfg.sample,
+        make_pattern_mask(*t.pattern, t.chars_done), &leaf_stats[leaf_idx],
+        hit.state());
+    leaf_finished(leaf_idx);
+  };
+  // Best-first leaves: each leaf's quota becomes "the leaf's top-`count`
+  // most likely passwords". A leaf thread walks its contiguous slice
+  // [lo, hi), admitting leaves in index order and keeping
+  // kOrderedLeavesInFlight of them in flight on one session; a round
+  // advances each until it needs an expansion and steps them all together.
+  // No RNG touches the output and rows never change each other's floats
+  // (kv_cache.h), so every leaf emits what it would alone, for any thread
+  // count; the run-level cache hit only changes prefill work.
+  const auto run_ordered_leaves = [&](std::size_t lo, std::size_t hi) {
+    obs::Span leaf_span("dcgen/leaf", "dcgen");
+    struct Flight {
+      std::size_t leaf;
+      gpt::KvTrieCache::Handle hit;  ///< pins the root's resume state
+      std::unique_ptr<search::OrderedEnumerator> enumerator;
+    };
+    gpt::InferenceSession session(model);
+    search::Expander expander;
+    std::vector<Flight> flights;
+    flights.reserve(kOrderedLeavesInFlight);
+    std::size_t next_leaf = lo;
+    const auto admit = [&] {
+      for (; next_leaf < hi; ++next_leaf) {
+        const std::size_t count = leaf_count(next_leaf);
+        if (leaf_done[next_leaf] || count == 0) continue;
+        const Task& t = leaves[next_leaf];
+        search::OrderedOptions sopts;
+        sopts.cache_bytes = kOrderedCacheBytes;
+        sopts.max_expansions = cfg.ordered_max_expansions;
+        sopts.max_guesses = count;
+        Flight f{next_leaf, cached_ancestor(next_leaf), nullptr};
+        f.enumerator = std::make_unique<search::OrderedEnumerator>(
+            model, t.prefix, sopts,
+            make_pattern_mask(*t.pattern, t.chars_done), f.hit.state());
+        leaf_out[next_leaf].reserve(count);
+        flights.push_back(std::move(f));
+        ++next_leaf;
+        return true;
+      }
+      return false;
+    };
+    while (true) {
+      std::size_t i = 0;
+      while (i < flights.size() ||
+             (flights.size() < kOrderedLeavesInFlight && admit())) {
+        Flight& f = flights[i];
+        search::Advance a = f.enumerator->advance();
+        for (; a.kind == search::Advance::Kind::kGuess;
+             a = f.enumerator->advance())
+          leaf_out[f.leaf].push_back(std::move(a.guess.password));
+        if (a.kind == search::Advance::Kind::kExpand) {
+          expander.add(*f.enumerator, a.expansion);
+          ++i;
+          continue;
+        }
+        const search::OrderedStats& s = f.enumerator->stats();
+        gpt::SampleStats& st = leaf_stats[f.leaf];
+        st.sequences_run = s.nodes_expanded;
+        st.invalid = s.invalid;
+        st.prefill_tokens = s.prefill_tokens;
+        st.prefill_saved = s.prefill_saved;
+        leaf_finished(f.leaf);
+        // Its slot goes to the last flight, not yet advanced this round.
+        if (i + 1 < flights.size()) flights[i] = std::move(flights.back());
+        flights.pop_back();
+      }
+      if (expander.empty()) break;  // nothing in flight, nothing to admit
+      expander.run(session);
+    }
+  };
   {
     obs::Span leaves_span("dcgen/leaves", "dcgen");
-    if (cfg.threads > 1 && leaves.size() > 1) {
+    if (cfg.leaf_mode == LeafMode::kOrdered) {
+      // One contiguous slice of leaves per leaf thread.
+      const std::size_t slices = std::min<std::size_t>(
+          leaves.size(), static_cast<std::size_t>(std::max(cfg.threads, 1)));
+      const std::size_t per =
+          slices == 0 ? 0 : (leaves.size() + slices - 1) / slices;
+      const auto run_slice = [&](std::size_t s) {
+        run_ordered_leaves(s * per, std::min(leaves.size(), (s + 1) * per));
+      };
+      if (slices > 1) {
+        ThreadPool pool(slices - 1);  // the caller runs slice 0
+        pool.parallel_for(slices, run_slice);
+      } else if (slices == 1) {
+        run_slice(0);
+      }
+    } else if (cfg.threads > 1 && leaves.size() > 1) {
       ThreadPool pool(static_cast<std::size_t>(cfg.threads));
       pool.parallel_for(leaves.size(), run_leaf);
     } else {

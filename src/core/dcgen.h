@@ -72,7 +72,9 @@ struct DcGenConfig {
   /// Worker threads for leaf execution (§III-C3 optimisation 3: "tasks in
   /// the list can be executed concurrently"). Results are identical for
   /// any thread count: each leaf draws from its own seeded RNG and outputs
-  /// are concatenated in task order.
+  /// are concatenated in task order. Ordered leaves split into one
+  /// contiguous slice per thread, and each thread keeps 8 of its leaves in
+  /// flight, their expansions sharing one model step.
   int threads = 1;
   /// Byte budget of the per-run prefix-trie KV cache (src/gpt/kv_cache.h;
   /// 0 = no cache): division batches and leaf generations resume from the

@@ -212,7 +212,7 @@ void InferenceSession::forward(const DerivedWeights<M>& w, float* logits) {
           logits);
 }
 
-KvState InferenceSession::snapshot(Index row) const {
+KvState InferenceSession::snapshot(Index row, bool logits) const {
   if (batch_ == 0)
     throw std::logic_error("InferenceSession::snapshot before reset()");
   if (row < 0 || row >= batch_)
@@ -222,8 +222,10 @@ KvState InferenceSession::snapshot(Index row) const {
   KvState s;
   s.blocks = rows_[static_cast<std::size_t>(row)];
   s.block_floats = block_floats(model_->config());
-  const auto lr = logits_row(row);
-  s.logits.assign(lr.begin(), lr.end());
+  if (logits) {
+    const auto lr = logits_row(row);
+    s.logits.assign(lr.begin(), lr.end());
+  }
   return s;
 }
 

@@ -103,7 +103,8 @@ class InferenceSession {
   /// Resets to rows.size() rows and brings every row to the end of its
   /// tokens: restores its state's positions, then steps the rest, each row
   /// at its own position (a row that is done sits out). A row whose state
-  /// covers all of its tokens gets the state's logits with no step. A row
+  /// covers all of its tokens gets the state's logits with no step (none
+  /// when the state carries none, until the row steps again). A row
   /// with the same tokens span (data and size) and state as the row before
   /// it shares that row's blocks and logits instead of stepping.
   /// Afterwards logits_row(i) is the next-token distribution after row i's
@@ -121,9 +122,10 @@ class InferenceSession {
 
   /// Forks row `row` out of this session: a KvState sharing the row's
   /// blocks for positions [0, position(row)), with a copy of its current
-  /// logits row. The state stays valid after the session resets or is
-  /// destroyed. Requires the row to have consumed a token.
-  KvState snapshot(Index row) const;
+  /// logits row unless `logits` is false (a state only ever resumed to step
+  /// another token needs none). The state stays valid after the session
+  /// resets or is destroyed. Requires the row to have consumed a token.
+  KvState snapshot(Index row, bool logits = true) const;
 
   /// Logits row for row `i` after the last token it consumed.
   std::span<const float> logits_row(Index i) const;

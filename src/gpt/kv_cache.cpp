@@ -55,9 +55,10 @@ KvTrieCache::~KvTrieCache() {
             pinned_);
 }
 
-KvTrieCache::Node* KvTrieCache::walk_locked(std::span<const int> prefix,
+KvTrieCache::Node* KvTrieCache::walk_locked(Node* from,
+                                            std::span<const int> prefix,
                                             bool create) {
-  Node* n = root_.get();
+  Node* n = from;
   for (const int tok : prefix) {
     auto it = n->children.find(tok);
     if (it == n->children.end()) {
@@ -107,7 +108,7 @@ void KvTrieCache::lru_detach_locked(Node* n) {
 
 KvTrieCache::Handle KvTrieCache::find(std::span<const int> prefix) {
   MutexLock lock(mu_);
-  Node* n = walk_locked(prefix, /*create=*/false);
+  Node* n = walk_locked(root_.get(), prefix, /*create=*/false);
   if (n == nullptr || !n->state) {
     kv_cache_metrics().misses.inc();
     return {};
@@ -136,16 +137,41 @@ KvTrieCache::Handle KvTrieCache::find_longest(std::span<const int> prefix) {
 
 void KvTrieCache::insert(std::span<const int> prefix, KvState state) {
   MutexLock lock(mu_);
-  Node* n = walk_locked(prefix, /*create=*/true);
+  store_locked(walk_locked(root_.get(), prefix, /*create=*/true),
+               std::move(state));
+}
+
+KvTrieCache::Handle KvTrieCache::insert(Handle at, std::span<const int> suffix,
+                                        KvState state) {
+  PPG_CHECK(at.cache_ == nullptr || at.cache_ == this,
+            "kv cache: inserting under another cache's handle");
+  MutexLock lock(mu_);
+  Node* const parent = at ? static_cast<Node*>(at.node_) : root_.get();
+  // The walk runs while `at` still pins its node; afterwards the node has
+  // the child below it, so dropping the pin cannot prune it.
+  Node* n = walk_locked(parent, suffix, /*create=*/true);
+  if (at) {
+    at.cache_ = nullptr;
+    at.node_ = nullptr;
+    unpin_locked(parent);
+  }
+  if (n->state) return pin_locked(n);  // first insert wins
+  store_locked(n, std::move(state));
+  // Eviction takes the LRU front first, so it reaches the new state, the
+  // most recently used, only after every other unpinned state: it survived
+  // exactly when the list is not empty, and then it is the list's back.
+  if (lru_back_ == nullptr) return {};
+  return pin_locked(lru_back_);
+}
+
+void KvTrieCache::store_locked(Node* n, KvState state) {
   if (n->state) return;  // first insert wins; the copies are bitwise equal
   n->state = std::make_unique<KvState>(std::move(state));
   bytes_ += n->state->bytes();
   ++nodes_;
-  KvCacheMetrics& m = kv_cache_metrics();
-  m.inserts.inc();
+  kv_cache_metrics().inserts.inc();
   lru_push_back_locked(n);  // unpinned at birth, most recently used
   evict_over_budget_locked();
-  m.bytes.set(static_cast<double>(bytes_));
 }
 
 void KvTrieCache::evict_over_budget_locked() {
@@ -191,6 +217,15 @@ std::size_t KvTrieCache::pinned_nodes() const {
   return pinned_;
 }
 
+void KvTrieCache::unpin_locked(Node* n) {
+  PPG_CHECK(n->pins > 0, "kv cache: pin refcount underflow");
+  if (--n->pins == 0) {
+    --pinned_;
+    lru_push_back_locked(n);  // a released node re-enters LRU as MRU
+    evict_over_budget_locked();
+  }
+}
+
 void KvTrieCache::Handle::release() {
   if (node_ == nullptr) return;
   KvTrieCache* cache = cache_;
@@ -198,12 +233,13 @@ void KvTrieCache::Handle::release() {
   cache_ = nullptr;
   node_ = nullptr;
   MutexLock lock(cache->mu_);
-  PPG_CHECK(n->pins > 0, "kv cache: pin refcount underflow");
-  if (--n->pins == 0) {
-    --cache->pinned_;
-    cache->lru_push_back_locked(n);  // a released node re-enters LRU as MRU
-    cache->evict_over_budget_locked();
-  }
+  cache->unpin_locked(n);
+}
+
+KvTrieCache::Handle KvTrieCache::Handle::share() const {
+  if (node_ == nullptr) return {};
+  MutexLock lock(cache_->mu_);
+  return cache_->pin_locked(static_cast<Node*>(node_));
 }
 
 const KvState* KvTrieCache::Handle::state() const noexcept {

@@ -59,12 +59,13 @@ using nn::Index;
 
 /// One sequence's KV snapshot: the blocks of positions [0, len()), shared
 /// with the session row and any other state that holds them, plus the
-/// next-token logits after token len()-1. Immutable once inside the cache.
+/// next-token logits after token len()-1 unless it was taken without them
+/// (InferenceSession::snapshot). Immutable once inside the cache.
 struct KvState {
   std::vector<KvBlock> blocks;  ///< one per position, in order
   /// Floats per block, 2·n_layers·d_model of the model that wrote them.
   Index block_floats = 0;
-  std::vector<float> logits;  ///< vocab, after token len()-1
+  std::vector<float> logits;  ///< vocab, after token len()-1; or empty
 
   /// Positions covered.
   Index len() const noexcept { return static_cast<Index>(blocks.size()); }
@@ -106,6 +107,16 @@ class KvTrieCache {
   /// unobservable). May trigger eviction of other, unpinned nodes.
   void insert(std::span<const int> prefix, KvState state);
 
+  /// Stores `state` under the prefix `at` pins extended by `suffix` (under
+  /// `suffix` alone when `at` is empty), walking from `at`'s node rather
+  /// than the root, and returns a pin on the resident state: the one stored,
+  /// the one already there (first insert wins), or none when the budget
+  /// evicted the new state at once. Consumes `at`: its pin is dropped after
+  /// the walk and before the store, so a parent whose last pin this was
+  /// rejoins the LRU ahead of its child, exactly as releasing it before an
+  /// insert() would. One walk replaces insert() plus find() from the root.
+  Handle insert(Handle at, std::span<const int> suffix, KvState state);
+
   /// Unpinned + pinned resident payload bytes.
   std::size_t bytes() const;
   /// Nodes currently holding a state.
@@ -142,6 +153,9 @@ class KvTrieCache {
     /// Drops the pin early. Idempotent.
     void release();
 
+    /// Another pin on the same node; empty for an empty handle.
+    Handle share() const;
+
     explicit operator bool() const noexcept { return node_ != nullptr; }
     /// The pinned state; nullptr for an empty handle.
     const KvState* state() const noexcept;
@@ -157,8 +171,16 @@ class KvTrieCache {
 
  private:
   struct Node;
-  Node* walk_locked(std::span<const int> prefix, bool create) PPG_REQUIRES(mu_);
+  /// The node `prefix` leads to from `from`; missing nodes are created when
+  /// `create`, else a miss returns nullptr.
+  Node* walk_locked(Node* from, std::span<const int> prefix, bool create)
+      PPG_REQUIRES(mu_);
+  /// Stores `state` at `n` unless it holds one, then evicts to fit.
+  void store_locked(Node* n, KvState state) PPG_REQUIRES(mu_);
   Handle pin_locked(Node* n) PPG_REQUIRES(mu_);
+  /// Drops one pin on `n`; the last one puts it back on the LRU as its most
+  /// recently used node.
+  void unpin_locked(Node* n) PPG_REQUIRES(mu_);
   void lru_push_back_locked(Node* n) PPG_REQUIRES(mu_);
   void lru_detach_locked(Node* n) PPG_REQUIRES(mu_);
   void evict_over_budget_locked() PPG_REQUIRES(mu_);

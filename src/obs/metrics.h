@@ -44,13 +44,21 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-write-wins scalar, with an atomic add for accumulating doubles.
+/// Last-write-wins scalar, with an atomic add for accumulating doubles and
+/// an atomic raise for running maxima.
 class Gauge {
  public:
   void set(double x) noexcept { v_.store(x, std::memory_order_relaxed); }
   void add(double d) noexcept {
     double cur = v_.load(std::memory_order_relaxed);
     while (!v_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
+    }
+  }
+  /// Raises the value to `x` when `x` is larger.
+  void set_max(double x) noexcept {
+    double cur = v_.load(std::memory_order_relaxed);
+    while (cur < x &&
+           !v_.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
     }
   }
   double value() const noexcept { return v_.load(std::memory_order_relaxed); }

@@ -1,13 +1,13 @@
 #include "search/ordered.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "common/check.h"
 #include "common/minmax_heap.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "tokenizer/tokenizer.h"
 
 namespace ppg::search {
@@ -42,8 +42,7 @@ OrderedEnumerator::OrderedEnumerator(const gpt::GptModel& model,
       opts_(opts),
       allowed_(std::move(allowed)),
       resume_(resume),
-      cache_(opts.cache_bytes),
-      session_(model) {
+      cache_(opts.cache_bytes) {
   PPG_CHECK(!prefix_.empty(), "ordered enumeration needs a non-empty prefix");
   PPG_CHECK(static_cast<Index>(prefix_.size()) < model.config().context,
             "prefix length %zu leaves no room in context %d", prefix_.size(),
@@ -113,51 +112,6 @@ OrderedEnumerator::Node OrderedEnumerator::pop_node() {
   return n;
 }
 
-void OrderedEnumerator::prefill(std::span<const int> tokens,
-                                const gpt::KvState* state) {
-  const gpt::PrefillRow row{tokens, state};
-  const gpt::PrefillCounts n = session_.prefill({&row, 1});
-  stats_.prefill_tokens += n.tokens;
-  stats_.prefill_saved += n.saved;
-}
-
-void OrderedEnumerator::expand_root() {
-  prefill(prefix_, resume_);
-  resume_ = nullptr;  // never needed again
-  gpt::KvState root = session_.snapshot(0);
-  std::span<const float> logits = session_.logits_row(0);
-  cache_.insert(prefix_, std::move(root));
-  push_children(new_parent(prefix_), 0.0, logits);
-}
-
-void OrderedEnumerator::expand(const Node& node) {
-  obs::Span span("search/expand", "search");
-  const std::span<const int> parent_seq(seq_.data(), seq_.size() - 1);
-  // Resume from the parent's pinned snapshot. When it was evicted before
-  // its record could pin it (tiny byte budgets), re-derive the parent from
-  // its deepest surviving ancestor instead — bitwise identical by the
-  // kv_cache contract.
-  gpt::KvTrieCache::Handle hit;
-  const gpt::KvState* state = parents_[node.parent].pin.state();
-  if (state == nullptr) {
-    hit = cache_.find_longest(parent_seq);
-    state = hit.state();
-  }
-  prefill(parent_seq, state);
-  // The scoring step every expansion pays regardless of caching; the
-  // prefill ledger counts only the positions before it.
-  const int last = seq_.back();
-  session_.step(std::span<const int>(&last, 1));
-  hit.release();
-  release_parent(node.parent);
-  ++stats_.nodes_expanded;
-  search_metrics().nodes_expanded.inc();
-  gpt::KvState state_after = session_.snapshot(0);
-  std::span<const float> logits = session_.logits_row(0);
-  cache_.insert(seq_, std::move(state_after));
-  push_children(new_parent(seq_), node.logp, logits);
-}
-
 void OrderedEnumerator::push_children(std::uint32_t parent, double logp,
                                       std::span<const float> logits) {
   const std::size_t seq_len = parents_[parent].seq.size();
@@ -169,25 +123,19 @@ void OrderedEnumerator::push_children(std::uint32_t parent, double logp,
   // The loop holds its own reference, so a backstop trim in push_node
   // cannot free the record under it.
   ++parents_[parent].children;
-  bool pinned = false;
   for (std::size_t k = 0; k < ids.size(); ++k) {
     const double child_logp = logp + log_probs_[k];
     const bool terminal = ids[k] == tok::Tokenizer::kEos;
     // A non-terminal child at the context boundary can never be stepped
     // again nor emit <EOS>; a terminal child needs no further step.
     if (!terminal && child_len >= context) continue;
-    if (!pinned) {
-      // One pin per record, taken with the first surviving child; it
-      // misses when the insert above was immediately evicted (budget
-      // smaller than one state) — expand() falls back.
-      parents_[parent].pin = cache_.find(parents_[parent].seq);
-      pinned = true;
-    }
     push_node(Node{child_logp, parent, ids[k]});
   }
   release_parent(parent);  // frees it here if no child survived
-  stats_.heap_peak = std::max(stats_.heap_peak, frontier_.size());
-  search_metrics().heap_peak.set(static_cast<double>(stats_.heap_peak));
+  if (frontier_.size() > stats_.heap_peak) {
+    stats_.heap_peak = frontier_.size();
+    search_metrics().heap_peak.set_max(static_cast<double>(stats_.heap_peak));
+  }
   enforce_budgets();
 }
 
@@ -213,29 +161,56 @@ void OrderedEnumerator::enforce_budgets() {
   }
 }
 
-std::optional<ScoredGuess> OrderedEnumerator::next() {
-  if (done_) return std::nullopt;
+Advance OrderedEnumerator::expansion(Pending kind, std::span<const int> row,
+                                     const gpt::KvState* state, int token) {
+  // The ledger InferenceSession::prefill keeps for this row.
+  const std::size_t saved =
+      state != nullptr ? static_cast<std::size_t>(state->len()) : 0;
+  stats_.prefill_saved += saved;
+  stats_.prefill_tokens += row.size() - saved;
+  pending_ = kind;
+  Advance a;
+  a.kind = Advance::Kind::kExpand;
+  a.expansion = {gpt::PrefillRow{row, state}, token};
+  return a;
+}
+
+Advance OrderedEnumerator::advance() {
+  PPG_CHECK(pending_ == Pending::kNone,
+            "advance() before the last expansion was complete()d");
+  if (done_) return {};
   if (opts_.max_guesses != 0 && stats_.emitted >= opts_.max_guesses) {
     done_ = true;
-    return std::nullopt;
+    return {};
   }
   if (deadline_us_ == 0 && opts_.deadline_ms > 0.0)
     deadline_us_ = obs::now_us() +
                    static_cast<std::int64_t>(opts_.deadline_ms * 1000.0);
   if (!primed_) {
     primed_ = true;
-    expand_root();
+    // Checked here rather than by the prefill, whose batch other
+    // enumerators' rows share.
+    if (resume_ != nullptr &&
+        (resume_->len() > static_cast<Index>(prefix_.size()) ||
+         (resume_->len() == static_cast<Index>(prefix_.size()) &&
+          static_cast<Index>(resume_->logits.size()) !=
+              model_->config().vocab)))
+      throw std::invalid_argument(
+          "OrderedEnumerator: resume state deeper than the prefix, or "
+          "covering it without logits");
+    return expansion(Pending::kRoot, prefix_, resume_,
+                     gpt::InferenceSession::kIdle);
   }
   while (true) {
     if (deadline_us_ != 0 && obs::now_us() >= deadline_us_) {
       stats_.deadline_hit = true;
       done_ = true;
-      return std::nullopt;
+      return {};
     }
     if (frontier_.empty()) {
       stats_.exhausted = true;
       done_ = true;
-      return std::nullopt;
+      return {};
     }
     const Node best = pop_node();
     const std::vector<int>& parent_seq = parents_[best.parent].seq;
@@ -250,7 +225,10 @@ std::optional<ScoredGuess> OrderedEnumerator::next() {
       }
       ++stats_.emitted;
       search_metrics().emitted.inc();
-      return ScoredGuess{std::move(*pw), best.logp};
+      Advance a;
+      a.kind = Advance::Kind::kGuess;
+      a.guess = ScoredGuess{std::move(*pw), best.logp};
+      return a;
     }
     if (opts_.max_expansions != 0 &&
         stats_.nodes_expanded >= opts_.max_expansions) {
@@ -262,10 +240,103 @@ std::optional<ScoredGuess> OrderedEnumerator::next() {
           std::max(stats_.truncated_log_prob, best.logp);
       release_parent(best.parent);
       done_ = true;
-      return std::nullopt;
+      return {};
     }
-    expand(best);
+    // Resume from the parent's pinned snapshot. When the budget evicted it
+    // as it was stored (tiny budgets), re-derive the parent from its
+    // deepest surviving ancestor instead — bitwise identical by the
+    // kv_cache contract. The popped node keeps its reference to the record
+    // until complete(), so the row's tokens and state stay alive.
+    expanding_ = best;
+    const std::span<const int> parent_row(seq_.data(), seq_.size() - 1);
+    const gpt::KvState* state = parents_[best.parent].pin.state();
+    if (state == nullptr) {
+      hit_ = cache_.find_longest(parent_row);
+      state = hit_.state();
+    }
+    return expansion(Pending::kNode, parent_row, state, best.token);
   }
+}
+
+void OrderedEnumerator::complete(const gpt::InferenceSession& session,
+                                 gpt::Index row) {
+  PPG_CHECK(pending_ != Pending::kNone,
+            "complete() without an expansion from advance()");
+  const bool root = pending_ == Pending::kRoot;
+  const std::span<const int> seq =
+      root ? std::span<const int>(prefix_) : std::span<const int>(seq_);
+  PPG_CHECK(session.position(row) == static_cast<Index>(seq.size()),
+            "complete(): row %d sits at position %d, the expansion at %zu",
+            static_cast<int>(row), static_cast<int>(session.position(row)),
+            seq.size());
+  pending_ = Pending::kNone;
+  const std::span<const float> logits = session.logits_row(row);
+  gpt::KvState state = session.snapshot(row, /*logits=*/false);
+  // The node the insert walks on from; the root's when empty.
+  gpt::KvTrieCache::Handle at;
+  double logp = 0.0;
+  if (root) {
+    resume_ = nullptr;  // never needed again
+  } else {
+    hit_.release();
+    // Drop the expanded node's reference to its parent record before the
+    // child's state is stored, as the record's last child leaving the
+    // frontier would: the insert walks on from the parent's node and then
+    // releases this pin — the record's own when the node was its last
+    // child.
+    Parent& parent = parents_[expanding_.parent];
+    if (--parent.children > 0) {
+      at = parent.pin.share();
+    } else {
+      at = std::move(parent.pin);
+      free_parents_.push_back(expanding_.parent);
+    }
+    ++stats_.nodes_expanded;
+    search_metrics().nodes_expanded.inc();
+    logp = expanding_.logp;
+  }
+  const std::size_t walked = at ? seq.size() - 1 : 0;
+  gpt::KvTrieCache::Handle pin =
+      cache_.insert(std::move(at), seq.subspan(walked), std::move(state));
+  const std::uint32_t id = new_parent(seq);
+  parents_[id].pin = std::move(pin);
+  push_children(id, logp, logits);
+}
+
+std::optional<ScoredGuess> OrderedEnumerator::next(
+    gpt::InferenceSession& session) {
+  Expander alone;
+  while (true) {
+    Advance a = advance();
+    switch (a.kind) {
+      case Advance::Kind::kGuess:
+        return std::move(a.guess);
+      case Advance::Kind::kDone:
+        return std::nullopt;
+      case Advance::Kind::kExpand:
+        alone.add(*this, a.expansion);
+        alone.run(session);
+        break;
+    }
+  }
+}
+
+void Expander::add(OrderedEnumerator& e, const Expansion& x) {
+  enumerators_.push_back(&e);
+  rows_.push_back(x.row);
+  tokens_.push_back(x.token);
+}
+
+void Expander::run(gpt::InferenceSession& session) {
+  if (enumerators_.empty()) return;
+  session.prefill(rows_);
+  // Root rows feed kIdle and keep the logits prefill left them.
+  session.step(tokens_);
+  for (std::size_t i = 0; i < enumerators_.size(); ++i)
+    enumerators_[i]->complete(session, static_cast<gpt::Index>(i));
+  enumerators_.clear();
+  rows_.clear();
+  tokens_.clear();
 }
 
 }  // namespace ppg::search

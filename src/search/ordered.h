@@ -11,26 +11,41 @@
 // the enumerator emits guesses in exactly descending model probability
 // with no duplicates.
 //
-// Anytime contract: next() yields one complete guess per call, best-first.
-// Stopping early (by count, by expansion budget, by deadline) always leaves
-// a prefix of the ideal descending-probability ranking; truncation caused by
-// the frontier budget is recorded as an admissible lower bound
-// (stats().truncated_log_prob) — guesses with log-prob at or below that
-// bound may be missing, anything above it is guaranteed complete.
+// Anytime contract: advance() yields complete guesses one at a time,
+// best-first. Stopping early (by count, by expansion budget, by deadline)
+// always leaves a prefix of the ideal descending-probability ranking;
+// truncation caused by the frontier budget is recorded as an admissible
+// lower bound (stats().truncated_log_prob) — guesses with log-prob at or
+// below that bound may be missing, anything above it is guaranteed
+// complete.
+//
+// Step-driven: the enumerator owns no InferenceSession. Between guesses,
+// advance() hands back the one expansion the search needs next — a session
+// row to bring to the end of the parent's sequence (a gpt::PrefillRow
+// holding the parent's tokens and pinned state) and the token to step on
+// it — and complete() takes that row back, snapshots it and pushes the
+// children scored on its logits. An Expander runs the pending
+// expansions of many enumerators as one InferenceSession::prefill and one
+// step. No row's floats depend on which rows share its step (kv_cache.h),
+// so an enumerator's guesses, log-prob bits and stats are the same stepped
+// alone or beside others; next(session) steps one enumerator alone.
 //
 // KV-cache integration: every expanded node keeps one parent record — its
 // token sequence and one pin (KvTrieCache::Handle) on its snapshot — that
 // all of its frontier children share, so expanding a child costs one
 // resume + one step and no prefix re-prime, and pushing a child costs no
-// trie lookup and no allocation. Frontier overflow is resolved by dropping
-// the *lowest-priority* nodes; a record's pin is released when its last
-// child leaves the frontier, which lets the trie's LRU eviction reclaim
-// bytes.
+// trie lookup and no allocation. A child's snapshot is stored under its
+// parent's pinned node, one trie walk whose insert returns the child's
+// pin. Snapshots carry no logits: an expansion resumes its parent only to
+// step a token, and the root's logits are read at once. Frontier overflow
+// is resolved by dropping the *lowest-priority* nodes; a record's pin is
+// released when its last child leaves the frontier, which lets the trie's
+// LRU eviction reclaim bytes.
 //
-// Determinism: single-threaded, no RNG. Ties in cumulative log-prob are
-// broken by lexicographically smaller token sequence, making the emission
-// order a strict total order — bitwise reproducible across runs and
-// independent of any caller thread count.
+// Determinism: no RNG. Ties in cumulative log-prob are broken by
+// lexicographically smaller token sequence, making the emission order a
+// strict total order — bitwise reproducible across runs and independent of
+// any caller thread count or of which enumerators share a step.
 #pragma once
 
 #include <cstddef>
@@ -72,7 +87,7 @@ struct OrderedOptions {
   /// the ideal ranking; the stop is recorded like a truncation
   /// (stats().expansion_capped, truncated_log_prob).
   std::size_t max_expansions = 0;
-  /// Wall-clock budget measured from the first next() call (0 = none).
+  /// Wall-clock budget measured from the first advance() call (0 = none).
   double deadline_ms = 0.0;
 };
 
@@ -90,7 +105,7 @@ struct OrderedStats {
   bool exhausted = false;     ///< frontier emptied
   bool deadline_hit = false;  ///< stopped by deadline_ms
   bool expansion_capped = false;  ///< stopped by max_expansions
-  /// Prefix positions recomputed through step(): root priming plus
+  /// Prefix positions the caller's prefill recomputes: root priming plus
   /// re-priming after budget evictions. Excludes each expansion's single
   /// scoring step, which is paid regardless of caching.
   std::size_t prefill_tokens = 0;
@@ -106,6 +121,28 @@ struct ScoredGuess {
   double log_prob = 0.0;
 };
 
+/// The work one expansion needs from its caller: bring a session row to the
+/// end of `row` (InferenceSession::prefill), step `token` on it unless it
+/// is kIdle (the root, whose row is the whole prefix), then hand the row to
+/// OrderedEnumerator::complete(). `row` points into the enumerator and its
+/// trie, and stays valid until then.
+struct Expansion {
+  gpt::PrefillRow row;
+  int token = gpt::InferenceSession::kIdle;
+};
+
+/// What OrderedEnumerator::advance() found.
+struct Advance {
+  enum class Kind {
+    kGuess,   ///< `guess` is the next-best complete guess
+    kExpand,  ///< run `expansion`, then complete() it
+    kDone,    ///< enumeration is over (see stats())
+  };
+  Kind kind = Kind::kDone;
+  ScoredGuess guess;
+  Expansion expansion;
+};
+
 /// Best-first enumerator over one request prefix. Yields complete guesses
 /// one at a time in strictly descending (log_prob, lexicographic) order.
 ///
@@ -115,22 +152,35 @@ struct ScoredGuess {
 /// tokens generated after the prefix; empty: every token), and an
 /// expansion scores only those. When `resume` covers a leading part
 /// of the prefix (resume->len() <= prefix.size()), the root expansion
-/// restores those positions instead of re-priming them (a deeper snapshot
-/// makes the first next() throw std::invalid_argument); the snapshot must
-/// stay alive until the first next() call returns.
+/// restores those positions instead of re-priming them; a deeper snapshot,
+/// or one covering the whole prefix without logits, makes the first
+/// advance() throw std::invalid_argument. The snapshot must stay alive
+/// until the root expansion is complete()d.
 ///
-/// The model must outlive the enumerator. Not thread-safe; use one
-/// enumerator per thread.
+/// The model must outlive the enumerator. Not thread-safe: one thread
+/// drives an enumerator, and a session steps the rows of one thread.
 class OrderedEnumerator {
  public:
   OrderedEnumerator(const gpt::GptModel& model, std::vector<int> prefix,
                     OrderedOptions opts = {}, gpt::AllowedTokens allowed = {},
                     const gpt::KvState* resume = nullptr);
 
-  /// The next-best complete guess, or std::nullopt when enumeration is
-  /// over (budget stop, deadline, or frontier exhausted — see stats()).
-  /// Once it returns nullopt it always will.
-  std::optional<ScoredGuess> next();
+  /// The next-best complete guess, the end of the enumeration (budget stop,
+  /// deadline, or frontier exhausted — see stats()), or the expansion the
+  /// search needs before it can tell. After kExpand, complete() must run
+  /// before the next advance(). Once it returns kDone it always will.
+  Advance advance();
+
+  /// Finishes the expansion the last advance() returned. Row `row` of
+  /// `session` must hold the expansion's row prefilled and its token
+  /// stepped: it is snapshotted into the trie, and its logits score the
+  /// children pushed onto the frontier.
+  void complete(const gpt::InferenceSession& session, gpt::Index row);
+
+  /// Drives this enumerator alone, one expansion per prefill and step on
+  /// `session`: the next-best complete guess, or std::nullopt once
+  /// enumeration is over. Once it returns nullopt it always will.
+  std::optional<ScoredGuess> next(gpt::InferenceSession& session);
 
   const OrderedStats& stats() const noexcept { return stats_; }
 
@@ -149,16 +199,20 @@ class OrderedEnumerator {
 
   /// One expanded node, shared by all of its children in the frontier:
   /// its full token sequence and a pin on the cached snapshot after it
-  /// (empty when the insert was evicted before the pin — expansion then
-  /// falls back to find_longest + re-prime, bitwise identical by the
-  /// kv_cache determinism contract). Freed, pin released, when its last
-  /// child leaves the frontier.
+  /// (empty when the budget evicted the snapshot as it was stored —
+  /// expansion then falls back to find_longest + re-prime, bitwise
+  /// identical by the kv_cache determinism contract). Freed, pin released,
+  /// when its last child leaves the frontier.
   struct Parent {
     std::vector<int> seq;
     gpt::KvTrieCache::Handle pin;
-    /// Frontier nodes referencing it, plus one while push_children runs.
+    /// Frontier nodes referencing it (the node being expanded included),
+    /// plus one while push_children runs.
     std::uint32_t children = 0;
   };
+
+  /// Which expansion the caller holds between advance() and complete().
+  enum class Pending { kNone, kRoot, kNode };
 
   /// Strict-weak "worse-than" order for the frontier: lower logp is worse;
   /// equal logp breaks toward the lexicographically smaller full sequence.
@@ -173,12 +227,10 @@ class OrderedEnumerator {
   /// through the parent records without building either.
   bool sequence_less(const Node& a, const Node& b) const noexcept;
 
-  /// Brings the session's one row to the end of `tokens`, resuming from
-  /// `state` (may be null), and adds the work to the prefill ledger.
-  void prefill(std::span<const int> tokens, const gpt::KvState* state);
-  void expand_root();
-  /// Expands the node just popped, whose full sequence is in seq_.
-  void expand(const Node& node);
+  /// Hands out the expansion of `row` (then `token`), and adds the
+  /// positions its prefill will restore or recompute to the ledger.
+  Advance expansion(Pending kind, std::span<const int> row,
+                    const gpt::KvState* state, int token);
   /// Scores the allowed tokens after `parent`'s sequence on `logits`,
   /// pushes every surviving child, then enforces the frontier budget.
   void push_children(std::uint32_t parent, double logp,
@@ -196,21 +248,46 @@ class OrderedEnumerator {
   std::vector<int> prefix_;
   OrderedOptions opts_;
   gpt::AllowedTokens allowed_;
-  const gpt::KvState* resume_;  ///< cleared after the root expansion
+  const gpt::KvState* resume_;  ///< cleared when the root completes
 
-  // Declared before parents_ so outstanding pins release first: the trie
-  // asserts no live handles at destruction.
+  // Declared before parents_ and hit_ so outstanding pins release first:
+  // the trie asserts no live handles at destruction.
   gpt::KvTrieCache cache_;
-  gpt::InferenceSession session_;
   std::vector<Parent> parents_;
   std::vector<std::uint32_t> free_parents_;  ///< reusable parents_ slots
   std::vector<Node> frontier_;  ///< min-max heap ordered by worse()
   std::vector<double> log_probs_;  ///< scores of the current allowed ids
   std::vector<int> seq_;  ///< full sequence of the node being expanded
   OrderedStats stats_;
+  Pending pending_ = Pending::kNone;
+  Node expanding_;  ///< the popped node a kNode expansion is for
+  /// Pins the deepest cached ancestor a kNode expansion resumes from when
+  /// its parent's snapshot was evicted; released at complete().
+  gpt::KvTrieCache::Handle hit_;
   bool primed_ = false;
   bool done_ = false;
-  std::int64_t deadline_us_ = 0;  ///< absolute, set at first next(); 0 = none
+  /// Absolute, set at the first advance(); 0 = none.
+  std::int64_t deadline_us_ = 0;
+};
+
+/// Runs the expansions of many enumerators together: each run() is one
+/// InferenceSession::prefill over every queued row — restoring each
+/// parent's state and re-priming any that was evicted — and one step
+/// feeding every row its token, after which each enumerator completes on
+/// its own row. Keeps its buffers across rounds.
+class Expander {
+ public:
+  /// Queues the expansion `x` that `e.advance()` just returned.
+  void add(OrderedEnumerator& e, const Expansion& x);
+  /// Runs the queued expansions on `session`, which it resets to one row
+  /// per expansion, and empties the queue.
+  void run(gpt::InferenceSession& session);
+  bool empty() const noexcept { return enumerators_.empty(); }
+
+ private:
+  std::vector<OrderedEnumerator*> enumerators_;
+  std::vector<gpt::PrefillRow> rows_;
+  std::vector<int> tokens_;
 };
 
 }  // namespace ppg::search

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -391,7 +392,8 @@ void GuessService::assemble_batch_locked(std::vector<RowRef>& rows) {
   ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
 }
 
-void GuessService::execute_ordered(const RowRef& row) {
+void GuessService::execute_ordered(gpt::InferenceSession& session,
+                                   const RowRef& row) {
   obs::Span span("serve/ordered", "serve");
   ServeMetrics& m = ServeMetrics::get();
   m.batches.inc();
@@ -405,7 +407,7 @@ void GuessService::execute_ordered(const RowRef& row) {
   sopts.max_guesses = p.target;  // top_k
   sopts.deadline_ms = p.search_deadline_ms;
   // The shared prefix cache seeds the enumeration root (its pin outlives
-  // the first next(), which is all the resume contract asks); expansion
+  // the root expansion, which is all the resume contract asks); expansion
   // states live in the enumerator's own trie. When the service samples in
   // int8 the cached states were produced by quantized forwards, which the
   // enumerator's fp32 exactness guarantee cannot resume from — the
@@ -419,7 +421,7 @@ void GuessService::execute_ordered(const RowRef& row) {
   std::vector<double> log_probs;
   passwords.reserve(p.target);
   log_probs.reserve(p.target);
-  while (auto g = enumerator.next()) {
+  while (auto g = enumerator.next(session)) {
     passwords.push_back(std::move(g->password));
     log_probs.push_back(g->log_prob);
   }
@@ -442,10 +444,6 @@ void GuessService::execute_ordered(const RowRef& row) {
 
 void GuessService::execute_batch(gpt::InferenceSession& session,
                                  const std::vector<RowRef>& rows) {
-  if (rows.size() == 1 && rows[0].req->ordered) {
-    execute_ordered(rows[0]);
-    return;
-  }
   obs::Span span("serve/batch", "serve");
   ServeMetrics& m = ServeMetrics::get();
   m.batches.inc();
@@ -529,10 +527,11 @@ void GuessService::deliver(const RowRef& row, std::span<const int> generated) {
 void GuessService::worker_loop(std::size_t index) {
   obs::trace_set_thread_name(
       ("serve-worker-" + std::to_string(index)).c_str());
-  // Sampled generation runs on the configured precision; ordered requests
-  // never touch this session (execute_ordered builds its own fp32
-  // enumerator — best-first bounds require the reference substrate).
+  // Sampled generation runs on the configured precision. Ordered requests
+  // run fp32 — best-first bounds require the reference substrate — on this
+  // session when it is fp32, else on a second one made for the first.
   gpt::InferenceSession session(model_, cfg_.precision);
+  std::optional<gpt::InferenceSession> fp32;
   for (;;) {
     std::vector<RowRef> rows;
     {
@@ -546,7 +545,14 @@ void GuessService::worker_loop(std::size_t index) {
     }
     PPG_DCHECK(rows.size() <= cfg_.max_batch, "batch of %zu exceeds max %zu",
                rows.size(), cfg_.max_batch);
-    execute_batch(session, rows);
+    if (!rows[0].req->ordered) {
+      execute_batch(session, rows);
+    } else if (cfg_.precision == gpt::Precision::kFp32) {
+      execute_ordered(session, rows[0]);
+    } else {
+      if (!fp32) fp32.emplace(model_);
+      execute_ordered(*fp32, rows[0]);
+    }
   }
 }
 

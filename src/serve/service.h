@@ -216,9 +216,10 @@ class GuessService {
   /// or an invalid attempt that may be retried; completes the request when
   /// it was its last row. Takes mu_.
   void deliver(const RowRef& row, std::span<const int> generated);
-  /// Runs one kOrdered request to completion (always a single-row batch;
-  /// ordered requests never share a batch with sampled rows).
-  void execute_ordered(const RowRef& row);
+  /// Runs one kOrdered request to completion on the worker's fp32
+  /// `session` (always a single-row batch; ordered requests never share a
+  /// batch with sampled rows).
+  void execute_ordered(gpt::InferenceSession& session, const RowRef& row);
 
   const gpt::GptModel& model_;
   const pcfg::PatternDistribution& patterns_;

@@ -484,6 +484,15 @@ class DcgenJournalTest : public DurabilityTest {
     return cfg;
   }
 
+  /// gen_config() with best-first leaves, capped to keep the run short.
+  core::DcGenConfig ordered_config(const std::string& journal_dir,
+                                   int threads) const {
+    core::DcGenConfig cfg = gen_config(journal_dir, threads);
+    cfg.leaf_mode = core::LeafMode::kOrdered;
+    cfg.ordered_max_expansions = 256;
+    return cfg;
+  }
+
   std::vector<std::string> generate(const std::string& journal_dir,
                                     core::DcGenStats* stats = nullptr,
                                     int threads = 1,
@@ -510,6 +519,40 @@ TEST_F(DcgenJournalTest, InterruptedRunResumesByteIdentical) {
   EXPECT_TRUE(stats.resumed_plan);
   EXPECT_GE(stats.resumed_leaves, 1u);
   EXPECT_EQ(resumed, golden);
+}
+
+// The ordered twin of the test above. A leaf thread keeps several ordered
+// leaves in flight, so leaves finish, and reach the ledger, out of index
+// order, and the crash at the second completion leaves other leaves
+// mid-enumeration. Resuming replays exactly the ledgered leaves and reruns
+// the rest, byte-identical to an uninterrupted run, at any thread count.
+TEST_F(DcgenJournalTest, InterruptedOrderedRunResumesByteIdentical) {
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    const auto golden = core::dc_generate(
+        *model_, patterns_, ordered_config("", threads), 55);
+    const std::string jdir =
+        (dir_ / ("journal_ordered_" + std::to_string(threads))).string();
+    const auto cfg = ordered_config(jdir, threads);
+    failpoint::activate("dcgen.leaf.done", failpoint::Action::kThrow, 2);
+    const std::uint64_t appended0 =
+        failpoint::hits("dcgen.ledger.after_append");
+    EXPECT_THROW(core::dc_generate(*model_, patterns_, cfg, 55),
+                 failpoint::Injected);
+    // Every completed append, the throwing leaf's included (its record is
+    // written before its completion failpoint).
+    const std::uint64_t ledgered =
+        failpoint::hits("dcgen.ledger.after_append") - appended0;
+    failpoint::reset();
+
+    core::DcGenStats stats;
+    const auto resumed = core::dc_generate(*model_, patterns_, cfg, 55, &stats);
+    EXPECT_TRUE(stats.resumed_plan);
+    EXPECT_GE(ledgered, 2u);
+    EXPECT_LT(ledgered, stats.leaves);
+    EXPECT_EQ(stats.resumed_leaves, ledgered);
+    EXPECT_EQ(resumed, golden);
+  }
 }
 
 TEST_F(DcgenJournalTest, TornLedgerTailIsTruncatedNotTrusted) {

@@ -183,6 +183,69 @@ TEST(KvTrieCache, ReleaseIsIdempotent) {
   EXPECT_FALSE(h);
 }
 
+TEST(KvTrieCache, InsertUnderPinWalksOnAndReturnsTheChildsPin) {
+  KvTrieCache cache(std::size_t(1) << 20);
+  auto& m = kv_cache_metrics();
+  const auto lookups0 = m.hits.value() + m.misses.value();
+  auto parent = cache.insert({}, std::vector<int>{5, 6},
+                             make_state(2, 1, 4, 8, 1.f));
+  ASSERT_TRUE(parent);
+  // A second pin on the parent is consumed; the parent's own stays.
+  auto child = cache.insert(parent.share(), std::vector<int>{7},
+                            make_state(3, 1, 4, 8, 2.f));
+  ASSERT_TRUE(child);
+  EXPECT_EQ(first_k(*child.state()), 2.f);
+  EXPECT_EQ(cache.pinned_nodes(), 2u);
+  // First insert wins: storing the same prefix again pins the resident
+  // state.
+  auto again = cache.insert(parent.share(), std::vector<int>{7},
+                            make_state(3, 1, 4, 8, 9.f));
+  EXPECT_EQ(again.state(), child.state());
+  again.release();
+  // Neither insert looked anything up.
+  EXPECT_EQ(m.hits.value() + m.misses.value(), lookups0);
+  // The child sits under the parent's prefix.
+  child.release();
+  auto found = cache.find(std::vector<int>{5, 6, 7});
+  ASSERT_TRUE(found);
+  EXPECT_EQ(first_k(*found.state()), 2.f);
+  found.release();
+  // Consuming the parent's last pin leaves nothing pinned but the new
+  // child.
+  auto grandchild = cache.insert(std::move(parent), std::vector<int>{8},
+                                 make_state(3, 1, 4, 8, 3.f));
+  EXPECT_FALSE(parent);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  ASSERT_TRUE(grandchild);
+  EXPECT_EQ(cache.pinned_nodes(), 1u);
+  EXPECT_EQ(cache.nodes(), 3u);
+}
+
+TEST(KvTrieCache, InsertUnderPinReleasesTheParentBeforeStoring) {
+  // A budget of one state: the parent, released by the insert before the
+  // child is stored, is the LRU victim, and the child stays, pinned.
+  const std::size_t unit = make_state(1, 1, 4, 8, 0.f).bytes();
+  KvTrieCache cache(unit);
+  auto parent = cache.insert({}, std::vector<int>{1},
+                             make_state(1, 1, 4, 8, 1.f));
+  ASSERT_TRUE(parent);
+  auto child = cache.insert(std::move(parent), std::vector<int>{2},
+                            make_state(1, 1, 4, 8, 2.f));
+  ASSERT_TRUE(child);
+  EXPECT_EQ(first_k(*child.state()), 2.f);
+  EXPECT_EQ(cache.nodes(), 1u);
+  // While another pin holds the parent, the child is the one evicted, at
+  // once: the insert returns no pin.
+  auto held = cache.find(std::vector<int>{1, 2});
+  ASSERT_TRUE(held);
+  child.release();
+  auto grandchild = cache.insert(held.share(), std::vector<int>{3},
+                                 make_state(1, 1, 4, 8, 3.f));
+  EXPECT_FALSE(grandchild);
+  EXPECT_TRUE(held);
+  EXPECT_EQ(cache.nodes(), 1u);
+  EXPECT_EQ(cache.pinned_nodes(), 1u);
+}
+
 TEST(KvTrieCache, MetricsTrackHitsMissesEvictions) {
   auto& m = kv_cache_metrics();
   const auto hits0 = m.hits.value();

@@ -36,6 +36,15 @@ TEST(Gauge, SetAndAdd) {
   EXPECT_DOUBLE_EQ(g.value(), 7.0);
 }
 
+TEST(Gauge, SetMaxKeepsTheRunningMaximum) {
+  Gauge g;
+  g.set_max(3.0);
+  g.set_max(2.0);  // smaller: no effect
+  EXPECT_DOUBLE_EQ(g.value(), 3.0);
+  g.set_max(5.0);
+  EXPECT_DOUBLE_EQ(g.value(), 5.0);
+}
+
 TEST(Histogram, ExactMomentsAndBucketedQuantiles) {
   Histogram h;
   EXPECT_EQ(h.summary().count, 0u);

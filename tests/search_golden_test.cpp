@@ -19,7 +19,8 @@
 // behavioural checks still run. The file uses only public API and keeps
 // its own helpers, so the same body can be built against an older tree to
 // record a new flavour's digests (without the score pin before
-// gpt::masked_log_probs existed).
+// gpt::masked_log_probs existed, and calling next() without a session
+// before the enumerator was step-driven).
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +35,7 @@
 #include "common/rng.h"
 #include "core/dcgen.h"
 #include "core/masks.h"
+#include "gpt/infer.h"
 #include "gpt/kv_cache.h"
 #include "gpt/sampler.h"
 #include "pcfg/pattern.h"
@@ -141,8 +143,9 @@ struct Enumeration {
 Enumeration enumerate(const gpt::GptModel& model, const MaskCase& m,
                       const OrderedOptions& opts) {
   OrderedEnumerator e(model, m.prefix, opts, m.mask);
+  gpt::InferenceSession session(model);
   Digest g;
-  while (auto guess = e.next()) {
+  while (auto guess = e.next(session)) {
     g.add(guess->password);
     g.add(guess->log_prob);
   }

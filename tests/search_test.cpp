@@ -6,18 +6,23 @@
 // passwords, same order, bitwise-identical log-probs — and must reproduce
 // itself run over run. The rest locks down the anytime stop conditions,
 // budget truncation (emissions stay an order-preserving subset with an
-// honest admissible bound), and KV-pin hygiene under heap eviction
-// (labelled `sanitize` so the TSan/ASan jobs run it).
+// honest admissible bound), KV-pin hygiene under heap eviction, and that
+// enumerators stepped together by one search::Expander each emit exactly
+// what they emit alone (labelled `sanitize` so the TSan/ASan jobs run it).
 #include "search/ordered.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -126,24 +131,31 @@ std::vector<Ranked> brute_force_ranking(const gpt::GptModel& model,
   return all;
 }
 
-std::vector<ScoredGuess> drain(OrderedEnumerator& e) {
-  std::vector<ScoredGuess> out;
-  while (auto g = e.next()) out.push_back(std::move(*g));
-  return out;
-}
-
 class SearchTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     model_ = new gpt::GptModel(gpt::Config::tiny(), 77);
+    session_ = new gpt::InferenceSession(*model_);
   }
   static void TearDownTestSuite() {
+    delete session_;
+    session_ = nullptr;
     delete model_;
     model_ = nullptr;
   }
+
+  /// Every guess left, driving `e` alone on the shared session.
+  static std::vector<ScoredGuess> drain(OrderedEnumerator& e) {
+    std::vector<ScoredGuess> out;
+    while (auto g = e.next(*session_)) out.push_back(std::move(*g));
+    return out;
+  }
+
   static gpt::GptModel* model_;
+  static gpt::InferenceSession* session_;
 };
 gpt::GptModel* SearchTest::model_ = nullptr;
+gpt::InferenceSession* SearchTest::session_ = nullptr;
 
 constexpr int kMaxLen = 3;
 
@@ -241,7 +253,7 @@ TEST_F(SearchTest, StopByCountYieldsExactPrefixOfFullRanking) {
     EXPECT_EQ(got[i].log_prob, all[i].log_prob);
   }
   // Terminal: next() keeps returning nullopt.
-  EXPECT_FALSE(capped.next().has_value());
+  EXPECT_FALSE(capped.next(*session_).has_value());
 }
 
 TEST_F(SearchTest, ExpansionCapYieldsExactPrefixOfFullRanking) {
@@ -265,7 +277,7 @@ TEST_F(SearchTest, ExpansionCapYieldsExactPrefixOfFullRanking) {
   // The admissible bound covers every guess the cap cut off.
   for (std::size_t i = got.size(); i < all.size(); ++i)
     EXPECT_LE(all[i].log_prob, capped.stats().truncated_log_prob);
-  EXPECT_FALSE(capped.next().has_value());
+  EXPECT_FALSE(capped.next(*session_).has_value());
 }
 
 TEST_F(SearchTest, DeadlineStopsAnytime) {
@@ -278,7 +290,7 @@ TEST_F(SearchTest, DeadlineStopsAnytime) {
   EXPECT_LT(got.size(), 14u);
   for (std::size_t i = 1; i < got.size(); ++i)
     EXPECT_LE(got[i].log_prob, got[i - 1].log_prob);
-  EXPECT_FALSE(e.next().has_value());
+  EXPECT_FALSE(e.next(*session_).has_value());
 }
 
 // Budget truncation: emissions must stay an order-preserving subset of the
@@ -322,6 +334,134 @@ TEST_F(SearchTest, BudgetTruncationIsHonestAndLeaksNoPins) {
   // ...and the trie's destructor PPG_CHECKs pinned_ == 0: deleting the
   // enumerator (frontier pins released first) must not abort.
   delete e;
+}
+
+/// One enumeration's output: each guess with its log-prob's bits, and the
+/// final stats.
+struct Stream {
+  std::vector<std::pair<std::string, std::uint64_t>> guesses;
+  search::OrderedStats stats;
+};
+
+void expect_same_stats(const search::OrderedStats& a,
+                       const search::OrderedStats& b) {
+  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
+  EXPECT_EQ(a.emitted, b.emitted);
+  EXPECT_EQ(a.invalid, b.invalid);
+  EXPECT_EQ(a.heap_peak, b.heap_peak);
+  EXPECT_EQ(a.truncated, b.truncated);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.truncated_log_prob),
+            std::bit_cast<std::uint64_t>(b.truncated_log_prob));
+  EXPECT_EQ(a.exhausted, b.exhausted);
+  EXPECT_EQ(a.deadline_hit, b.deadline_hit);
+  EXPECT_EQ(a.expansion_capped, b.expansion_capped);
+  EXPECT_EQ(a.prefill_tokens, b.prefill_tokens);
+  EXPECT_EQ(a.prefill_saved, b.prefill_saved);
+}
+
+// Enumerators whose expansions share one prefill and one step must each
+// emit what they emit alone: rows never change each other's floats
+// (kv_cache.h), so the Expander may mix any of them. The cases cover
+// different prefixes and masks, a budget that evicts every state (each
+// expansion re-primes its parent), an overflowing frontier, roots resumed
+// from a snapshot of all or part of the prefix, and one enumerator that
+// stops many rounds before the rest; rows join each round in alternating
+// order, so an enumerator's row index moves.
+TEST_F(SearchTest, SteppedTogetherMatchesRunAloneBitwise) {
+  const auto n2 = pcfg::parse_pattern("N2");
+  ASSERT_TRUE(n2.has_value());
+  const std::vector<int> bos = {Tokenizer::kBos};
+  const std::vector<int> n2_prefix = Tokenizer::encode_generation_prefix(*n2);
+  const gpt::AllowedTokens n2_mask = core::make_pattern_mask(*n2);
+  gpt::InferenceSession primer(*model_);
+  primer.reset(1);
+  primer.step(bos);
+  const gpt::KvState bos_state = primer.snapshot(0);
+
+  struct Case {
+    const char* name;
+    std::vector<int> prefix;
+    OrderedOptions opts;
+    gpt::AllowedTokens mask;
+    const gpt::KvState* resume = nullptr;
+  };
+  OrderedOptions reprime;
+  reprime.cache_bytes = 1;
+  OrderedOptions overflow;
+  overflow.max_nodes = 2;
+  OrderedOptions both = overflow;
+  both.cache_bytes = 1;
+  OrderedOptions early;
+  early.max_guesses = 1;
+  const std::vector<Case> cases = {
+      {"ab", bos, {}, ab_mask(kMaxLen)},
+      {"N2/reprime", n2_prefix, reprime, n2_mask},
+      {"ab/overflow", bos, overflow, ab_mask(kMaxLen)},
+      {"N2/overflow+reprime", n2_prefix, both, n2_mask},
+      {"ab/resumed", bos, {}, ab_mask(kMaxLen), &bos_state},
+      {"N2/resumed-part", n2_prefix, {}, n2_mask, &bos_state},
+      {"N2/early", n2_prefix, early, n2_mask},
+  };
+
+  std::vector<Stream> alone(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    OrderedEnumerator e(*model_, c.prefix, c.opts, c.mask, c.resume);
+    for (const ScoredGuess& g : drain(e))
+      alone[i].guesses.emplace_back(g.password,
+                                    std::bit_cast<std::uint64_t>(g.log_prob));
+    alone[i].stats = e.stats();
+  }
+
+  std::vector<std::unique_ptr<OrderedEnumerator>> enumerators;
+  for (const Case& c : cases)
+    enumerators.push_back(std::make_unique<OrderedEnumerator>(
+        *model_, c.prefix, c.opts, c.mask, c.resume));
+  std::vector<Stream> together(cases.size());
+  std::vector<std::size_t> last_round(cases.size(), 0);
+  std::vector<char> done(cases.size(), 0);
+  search::Expander expander;
+  std::size_t round = 0;
+  for (;; ++round) {
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const std::size_t i = round % 2 == 0 ? k : cases.size() - 1 - k;
+      while (!done[i]) {
+        search::Advance a = enumerators[i]->advance();
+        if (a.kind == search::Advance::Kind::kGuess) {
+          together[i].guesses.emplace_back(
+              std::move(a.guess.password),
+              std::bit_cast<std::uint64_t>(a.guess.log_prob));
+          continue;
+        }
+        if (a.kind == search::Advance::Kind::kExpand) {
+          expander.add(*enumerators[i], a.expansion);
+        } else {
+          done[i] = 1;
+          last_round[i] = round;
+        }
+        break;
+      }
+    }
+    if (expander.empty()) break;
+    expander.run(*session_);
+  }
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    together[i].stats = enumerators[i]->stats();
+    EXPECT_FALSE(alone[i].guesses.empty());
+    EXPECT_EQ(together[i].guesses, alone[i].guesses);
+    expect_same_stats(together[i].stats, alone[i].stats);
+  }
+  // Each case exercises what it is there for.
+  EXPECT_GT(alone[1].stats.prefill_tokens, alone[1].stats.nodes_expanded);
+  EXPECT_GT(alone[2].stats.truncated, 0u);
+  EXPECT_GT(alone[3].stats.truncated, 0u);
+  EXPECT_EQ(alone[4].stats.prefill_tokens, 0u);
+  EXPECT_EQ(alone[5].stats.prefill_tokens,
+            n2_prefix.size() - bos.size());
+  EXPECT_EQ(alone[6].stats.emitted, 1u);
+  EXPECT_LT(last_round[6] + 10, round);
 }
 
 TEST_F(SearchTest, MaskedLogProbsNormalizes) {
